@@ -177,7 +177,7 @@ func NewChecker(rules []rule.Rule, master *relation.Relation) *Checker {
 	if master != nil {
 		for i, r := range rules {
 			if r.Kind == rule.MatchMD {
-				matchers[i] = newMatcher(r.MD, master)
+				matchers[i] = newMatcher(r.MD, master, 0) // certification never truncates
 			}
 		}
 	}

@@ -79,9 +79,12 @@ type Options struct {
 	// small delta rounds dominate after the seeding round, and spawning
 	// workers plus a proposal merge for a handful of tuples costs more
 	// than the visits themselves, which is how Workers > 1 used to lose
-	// to Workers = 1 on the wall clock. Work is estimated in tuple visits
-	// (tuples for per-tuple rules, total members for group rules). 0 means
-	// DefaultSeqCutoff; negative forces every nonempty worklist through
+	// to Workers = 1 on the wall clock. Work is estimated in tuple visits:
+	// tuples times the rule's estimated per-visit cost (Engine.visitCost)
+	// for per-tuple rules, total members for group rules. Independently of
+	// the total, an applier worklist whose items are each cheaper than
+	// minPooledItemCost visits runs inline. 0 means DefaultSeqCutoff;
+	// negative forces every nonempty worklist through
 	// the pool, which tests use to exercise the parallel path on tiny
 	// property-test instances. The fast path cannot change any output —
 	// inline and pooled execution are fix-for-fix identical by the
@@ -145,6 +148,46 @@ func (e *Engine) inline(work int) bool {
 		return true
 	}
 	return work < cut
+}
+
+// minPooledItemCost is the smallest estimated per-item cost, in tuple
+// visits, at which an applier worklist may go to the pool. Besides the
+// fan-out itself, the pool pays per item: a proposal slot and a recover
+// frame, and a record, rewind and replay of every write. Measured on two
+// CPUs, pooled worklists of CFD visits (one unit each) and of memoized
+// similarity-MD visits (about ten) never beat running them inline, from 500
+// to 50k tuples; items that scan Dm or hold large groups are what the pool
+// is for.
+const minPooledItemCost = 64
+
+// inlineItems is inline for an applier worklist of items work items costing
+// itemCost tuple visits each.
+func (e *Engine) inlineItems(items, itemCost int) bool {
+	if itemCost < minPooledItemCost && e.opts.seqCutoff() >= 0 {
+		return true
+	}
+	return e.inline(items * itemCost)
+}
+
+// visitCost estimates the work of one tuple visit of rule ri in units of a
+// plain tuple visit, from counts the engine already keeps. A CFD visit is
+// one unit. An MD visit also verifies the premise on each blocked
+// candidate: the rule's running average of candidates per lookup once it
+// has probed; before that, the TopL cap for a suffix tree and one for an
+// equality bucket; and all of Dm for an MD without an index.
+func (e *Engine) visitCost(ri int) int {
+	switch x := e.matchers[ri]; {
+	case x == nil:
+		return 1
+	case x.allIDs != nil:
+		return 1 + len(x.allIDs)
+	case x.stats.Lookups > 0:
+		return 1 + x.stats.Candidates/x.stats.Lookups
+	case x.tree != nil:
+		return 1 + x.topL
+	default:
+		return 2
+	}
 }
 
 // workerCount resolves Options.Workers to the effective pool size.
@@ -406,7 +449,7 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 				// counters come out identical to a fresh build's.
 				e.matchers[i] = protos[i].fork()
 			} else {
-				e.matchers[i] = newMatcher(r.MD, master)
+				e.matchers[i] = newMatcher(r.MD, master, opts.TopL)
 			}
 			e.res.Match[r.Name()] = &e.matchers[i].stats
 		}

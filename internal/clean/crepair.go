@@ -206,7 +206,7 @@ func (ap *applier) matchMDTuple(ri int, m *md.MD, i int) int {
 		return 0
 	}
 	progress := 0
-	for _, j := range x.candidates(t, e.opts.TopL) {
+	for _, j := range x.candidates(t) {
 		s := e.master.Tuples[j]
 		for _, p := range m.RHS {
 			v := s.Values[p.MasterAttr]

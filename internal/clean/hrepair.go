@@ -271,7 +271,7 @@ func (ap *applier) masterSuggestions(a int, members []int) map[string]bool {
 				continue
 			}
 			for _, i := range members {
-				for _, j := range ap.matchers[ri].probe(e.data.Tuples[i], e.opts.TopL) {
+				for _, j := range ap.matchers[ri].probe(e.data.Tuples[i]) {
 					if v := e.master.Tuples[j].Values[p.MasterAttr]; !relation.IsNull(v) {
 						out[v] = true
 					}

@@ -1,6 +1,9 @@
 package clean
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/md"
 	"repro/internal/relation"
 	"repro/internal/suffixtree"
@@ -22,6 +25,7 @@ import (
 type matcher struct {
 	m      *md.MD
 	master *relation.Relation
+	topL   int // the repair path's TopL cap (Options.TopL)
 
 	eqDataAttrs   []int // data attrs of equality clauses
 	eqMasterAttrs []int // master attrs of equality clauses
@@ -32,36 +36,61 @@ type matcher struct {
 	simK      int
 	tree      *suffixtree.Tree
 	treeIDs   [][]int // suffix-tree string id -> master tuple indexes
+	memo      *simMemo
 
 	// allIDs is the identity list the index-less fallback scans, built once
 	// and shared read-only with every fork.
 	allIDs []int
 
-	// Lookup scratch, reused across probes so the hot path does not
-	// allocate per tuple: idsBuf backs the candidate list, keyBuf backs the
-	// equality-index key (probed as string(keyBuf), which allocates
-	// nothing), seen/seenGen dedupe candidates produced by several
-	// blocking keys (first occurrence wins, preserving the verification
-	// order) so no master tuple is verified twice for one probe, and
-	// certLists backs the per-string id lists certCandidates merges.
-	// Scratch is private per matcher; pool workers probe through forks.
-	idsBuf    []int
-	keyBuf    []byte
-	seen      []uint64
-	seenGen   uint64
-	certLists [][]int
+	// keyBuf backs the equality-index key, probed as string(keyBuf), which
+	// allocates nothing. It is private per matcher; pool workers probe
+	// through forks.
+	keyBuf []byte
 
 	stats MatchStats
 }
 
+// simMemo holds, per distinct query value, the two suffix-tree
+// enumerations of a similarity matcher: block, the master tuples of the
+// TopL-blocked strings in rank order (repair), and cert, the ascending
+// exact superset (certification). Both are pure functions of the value over
+// the immutable tree, so the memo is shared by every fork of the matcher —
+// pool workers, certification tasks, stream sub-runs — and whichever fork
+// fills an entry first, every reader sees the same list. Walks run outside
+// the lock; a lost race only recomputes an identical list. Returned lists
+// are shared and must not be modified.
+type simMemo struct {
+	mu          sync.Mutex
+	block, cert map[string][]int
+}
+
+// get returns tab[v], computing and storing it with walk on a miss.
+func (c *simMemo) get(tab map[string][]int, v string, walk func() []int) []int {
+	c.mu.Lock()
+	ids, ok := tab[v]
+	c.mu.Unlock()
+	if ok {
+		return ids
+	}
+	ids = walk()
+	c.mu.Lock()
+	if prev, ok := tab[v]; ok {
+		ids = prev
+	} else {
+		tab[v] = ids
+	}
+	c.mu.Unlock()
+	return ids
+}
+
 // fork returns a matcher sharing x's immutable blocking indexes — the
-// equality buckets, the suffix tree and its id lists, the fallback identity
-// list — with private lookup scratch and statistics, so pool workers can
-// probe concurrently. Fork statistics are merged back into x.stats by
-// order-independent sums after each parallel phase.
+// equality buckets, the suffix tree, its id lists and its memo, the
+// fallback identity list — with private lookup scratch and statistics, so
+// pool workers can probe concurrently. Fork statistics are merged back into
+// x.stats by order-independent sums after each parallel phase.
 func (x *matcher) fork() *matcher {
 	f := *x
-	f.idsBuf, f.keyBuf, f.seen, f.seenGen, f.certLists = nil, nil, nil, 0, nil
+	f.keyBuf = nil
 	f.stats = MatchStats{MasterSize: x.stats.MasterSize}
 	return &f
 }
@@ -91,8 +120,8 @@ func buildEqIndex(master *relation.Relation, attrs []int) map[string][]int {
 	return idx
 }
 
-func newMatcher(m *md.MD, master *relation.Relation) *matcher {
-	x := &matcher{m: m, master: master, simData: -1}
+func newMatcher(m *md.MD, master *relation.Relation, topL int) *matcher {
+	x := &matcher{m: m, master: master, topL: topL, simData: -1}
 	x.stats.MasterSize = master.Len()
 	x.eqDataAttrs, x.eqMasterAttrs = eqClauses(m)
 	for _, cl := range m.LHS {
@@ -105,6 +134,7 @@ func newMatcher(m *md.MD, master *relation.Relation) *matcher {
 		x.eqIndex = buildEqIndex(master, x.eqMasterAttrs)
 	case x.simData >= 0:
 		x.tree = suffixtree.New()
+		x.memo = &simMemo{block: make(map[string][]int), cert: make(map[string][]int)}
 		byValue := make(map[string]int)
 		for j, s := range master.Tuples {
 			v := s.Values[x.simMaster]
@@ -133,9 +163,9 @@ func newMatcher(m *md.MD, master *relation.Relation) *matcher {
 // candidates returns the master tuple indexes on which the full MD premise
 // holds for t, going through the blocking indexes when available, and counts
 // the query in the matcher's statistics.
-func (x *matcher) candidates(t *relation.Tuple, topL int) []int {
+func (x *matcher) candidates(t *relation.Tuple) []int {
 	x.stats.Lookups++
-	ids, scanned := x.block(t, topL)
+	ids, scanned := x.block(t)
 	if scanned {
 		x.stats.FullScans++
 	}
@@ -148,18 +178,16 @@ func (x *matcher) candidates(t *relation.Tuple, topL int) []int {
 // probe is candidates without the statistics. hRepair's master-data
 // tie-breaking uses it so the per-MD stats keep measuring matching work
 // only, one lookup per tuple per round.
-func (x *matcher) probe(t *relation.Tuple, topL int) []int {
-	ids, _ := x.block(t, topL)
+func (x *matcher) probe(t *relation.Tuple) []int {
+	ids, _ := x.block(t)
 	return x.verify(t, ids)
 }
 
 // block returns the raw candidate ids for t from the blocking indexes, and
 // whether it had to fall back to a full scan of the master relation. The
-// returned slice is only valid until the next block call: the equality path
-// aliases the index bucket, the suffix-tree path reuses the matcher's
-// candidate buffer, and the fallback returns a shared identity list built
-// once.
-func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) {
+// returned slice is shared — an index bucket, a memo entry or the fallback
+// identity list — and must not be modified.
+func (x *matcher) block(t *relation.Tuple) (ids []int, fullScan bool) {
 	switch {
 	case x.eqIndex != nil:
 		x.keyBuf = relation.AppendKey(x.keyBuf[:0], t, x.eqDataAttrs)
@@ -169,25 +197,18 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 		if relation.IsNull(v) {
 			return nil, false
 		}
-		if x.seen == nil {
-			x.seen = make([]uint64, x.master.Len())
-		}
-		x.seenGen++
-		ids = x.idsBuf[:0]
-		// Partition v into K+1 contiguous pieces: at most K edits touch at
-		// most K pieces, so edit(u, v) <= K implies u contains one piece
-		// unchanged — a common substring of length >= floor(|v|/(K+1)).
-		minLen := len(v) / (x.simK + 1)
-		for _, mt := range x.tree.TopL(v, topL, minLen) {
-			for _, j := range x.treeIDs[mt.ID] {
-				if x.seen[j] != x.seenGen {
-					x.seen[j] = x.seenGen
-					ids = append(ids, j)
-				}
+		return x.memo.get(x.memo.block, v, func() []int {
+			// Partition v into K+1 contiguous pieces: at most K edits touch
+			// at most K pieces, so edit(u, v) <= K implies u contains one
+			// piece unchanged — a common substring of length >=
+			// floor(|v|/(K+1)). Each string's tuple list is disjoint from
+			// every other's (one value per tuple), so no tuple repeats.
+			var ids []int
+			for _, mt := range x.tree.TopL(v, x.topL, len(v)/(x.simK+1)) {
+				ids = append(ids, x.treeIDs[mt.ID]...)
 			}
-		}
-		x.idsBuf = ids
-		return ids, false
+			return ids
+		}), false
 	default:
 		return x.allIDs, true
 	}
@@ -206,9 +227,8 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 // Unlike block it never truncates: block serves repair, where TopL capping a
 // candidate list only costs recall, while certCandidates serves the Checker,
 // where a dropped candidate would falsify the certified Report. The returned
-// slice shares the matcher's scratch and is only valid until the next
-// lookup; the matcher's statistics are untouched (certification must not
-// count as matching work).
+// slice is shared like block's; the matcher's statistics are untouched
+// (certification must not count as matching work).
 func (x *matcher) certCandidates(t *relation.Tuple) (ids []int, ok bool) {
 	switch {
 	case x.eqIndex != nil:
@@ -227,68 +247,20 @@ func (x *matcher) certCandidates(t *relation.Tuple) (ids []int, ok bool) {
 		}
 		// Every master value within edit distance K of v contains one of
 		// v's K+1 pieces unchanged, i.e. shares a substring of length >=
-		// minLen — so the tree enumeration is an exact superset. Each
-		// matched string id maps to the ascending list of master tuples
-		// holding that value; the lists are pairwise disjoint (one value
-		// per tuple), and the order-preserving merge below restores the
-		// single ascending order a nested scan would visit.
-		lists := x.certLists[:0]
-		for _, sid := range x.tree.StringsWithCommonSubstring(v, minLen) {
-			if l := x.treeIDs[sid]; len(l) > 0 {
-				lists = append(lists, l)
+		// minLen — so the tree enumeration is an exact superset. Sorting
+		// the union of the matched strings' tuple lists restores the
+		// ascending order a nested scan would visit.
+		return x.memo.get(x.memo.cert, v, func() []int {
+			var ids []int
+			for _, sid := range x.tree.StringsWithCommonSubstring(v, minLen) {
+				ids = append(ids, x.treeIDs[sid]...)
 			}
-		}
-		x.certLists = lists
-		x.idsBuf = mergeAscending(lists, x.idsBuf[:0])
-		return x.idsBuf, true
+			slices.Sort(ids)
+			return ids
+		}), true
 	default:
 		return nil, false // no usable index (e.g. a lone Jaro clause)
 	}
-}
-
-// mergeAscending merges ascending, pairwise-disjoint int lists into out,
-// preserving ascending order — the order-preserving candidate merge of the
-// blocked certification path. A binary min-heap over the list heads keeps
-// the merge O(n log k) without materializing and sorting the union. The
-// heads of lists are consumed in place; the underlying arrays are not
-// touched.
-func mergeAscending(lists [][]int, out []int) []int {
-	switch len(lists) {
-	case 0:
-		return out
-	case 1:
-		return append(out, lists[0]...)
-	}
-	down := func(k int) {
-		for { //det:ok ctxflow heap sift-down: k strictly descends a log-depth heap, bounded without any cancellation concern
-			l := 2*k + 1
-			if l >= len(lists) {
-				return
-			}
-			if r := l + 1; r < len(lists) && lists[r][0] < lists[l][0] {
-				l = r
-			}
-			if lists[k][0] <= lists[l][0] {
-				return
-			}
-			lists[k], lists[l] = lists[l], lists[k]
-			k = l
-		}
-	}
-	for k := len(lists)/2 - 1; k >= 0; k-- {
-		down(k)
-	}
-	for len(lists) > 0 { //det:ok ctxflow bounded merge of precomputed candidate lists: consumes one head per pass, total work is the sum of list lengths
-		out = append(out, lists[0][0])
-		if rest := lists[0][1:]; len(rest) > 0 {
-			lists[0] = rest
-		} else {
-			lists[0] = lists[len(lists)-1]
-			lists = lists[:len(lists)-1]
-		}
-		down(0)
-	}
-	return out
 }
 
 // verify filters candidate ids down to those on which the full premise

@@ -520,11 +520,12 @@ func fanOut(ctx context.Context, phase string, workers, tasks int, fn func(task 
 }
 
 // applyTuples runs one per-tuple rule over the given tuple ids (ascending),
-// inline when the pool is off or the worklist is under the sequential
-// cutoff (small delta rounds pay fan-out overhead, not win from it),
-// sharded through the pool otherwise.
+// inline when the pool is off, the rule's visits are too cheap to repay the
+// pool's per-item overhead, or the worklist is under the sequential cutoff
+// (small delta rounds pay fan-out overhead, not win from it), sharded
+// through the pool otherwise.
 func (e *Engine) applyTuples(phase, ri int, ids []int, fn func(*applier, int) int) int {
-	if e.inline(len(ids)) {
+	if e.inlineItems(len(ids), e.visitCost(ri)) {
 		progress := 0
 		for ii, i := range ids {
 			// Same (rule, worklist-index) fault coordinates as the pool
@@ -542,8 +543,8 @@ func (e *Engine) applyTuples(phase, ri int, ids []int, fn func(*applier, int) in
 
 // applyGroups runs one variable-CFD rule over the given group snapshots
 // (ordered by first member), inline or through the pool; the work estimate
-// for the sequential cutoff is the total member count, since group applier
-// cost scales with members visited, not group count. Group appliers run
+// is the member count, total and per group, since group applier cost scales
+// with members visited, not group count. Group appliers run
 // without the scheduler's in-flight-tuple suppression, exactly like the
 // sequential loops.
 func (e *Engine) applyGroups(phase, ri int, groups [][]int, fn func(*applier, []int) int) int {
@@ -551,7 +552,7 @@ func (e *Engine) applyGroups(phase, ri int, groups [][]int, fn func(*applier, []
 	for _, g := range groups {
 		work += len(g)
 	}
-	if e.inline(work) {
+	if len(groups) == 0 || e.inlineItems(len(groups), work/len(groups)) {
 		progress := 0
 		for gi, g := range groups {
 			e.fj.At(fault.SiteApply, ri, gi)

@@ -116,15 +116,15 @@ func validOps(n0 int, ops []gen.Update) bool {
 // byte-identical. Returns a description of the first divergence, or "".
 // patched accumulates Report.Patched across accepted updates, proving the
 // certification cache is actually exercised by the corpus.
-func checkStream(in *propInstance, ops []gen.Update, opts Options, patched *int) string {
-	e, err := NewStream(in.relation(nil), nil, in.rules, opts)
+func checkStream(in streamCase, ops []gen.Update, opts Options, patched *int) string {
+	e, err := NewStream(in.data(), in.master, in.rules, opts)
 	if err != nil {
 		return fmt.Sprintf("NewStream: %v", err)
 	}
-	if d := diffParallel(e.Result(), Run(in.relation(nil), nil, in.rules, opts)); d != "" {
+	if d := diffParallel(e.Result(), Run(in.data(), in.master, in.rules, opts)); d != "" {
 		return "initial run: " + d
 	}
-	acc := in.relation(nil)
+	acc := in.data()
 	for oi, u := range ops {
 		var res *Result
 		if u.Delete {
@@ -139,7 +139,7 @@ func checkStream(in *propInstance, ops []gen.Update, opts Options, patched *int)
 			return fmt.Sprintf("op %d: returned Result is not the engine's current Result", oi)
 		}
 		u.Apply(acc)
-		oracle := Run(acc, nil, in.rules, opts)
+		oracle := Run(acc, in.master, in.rules, opts)
 		if d := diffParallel(res, oracle); d != "" {
 			return fmt.Sprintf("op %d (%+v): %s", oi, u, d)
 		}
@@ -148,10 +148,27 @@ func checkStream(in *propInstance, ops []gen.Update, opts Options, patched *int)
 	return ""
 }
 
+// streamCase is the instance a stream replay starts from: a fresh copy of
+// its data relation per call, its master relation (nil when it has none),
+// and its rules.
+type streamCase struct {
+	data   func() *relation.Relation
+	master *relation.Relation
+	rules  []rule.Rule
+}
+
+func (in *propInstance) streamCase() streamCase {
+	return streamCase{data: func() *relation.Relation { return in.relation(nil) }, rules: in.rules}
+}
+
+func (in *simInstance) streamCase() streamCase {
+	return streamCase{data: in.data, master: in.master, rules: in.rules}
+}
+
 // shrinkOps greedily minimizes a failing op sequence: it keeps dropping
 // single ops (and re-validating the remainder) while the failure persists.
-func shrinkOps(in *propInstance, ops []gen.Update, opts Options) []gen.Update {
-	n0 := len(in.rows)
+func shrinkOps(in streamCase, ops []gen.Update, opts Options) []gen.Update {
+	n0 := in.data().Len()
 	dummy := 0
 	for i := 0; i < len(ops); {
 		cand := append(append([]gen.Update(nil), ops[:i]...), ops[i+1:]...)
@@ -185,8 +202,8 @@ func TestPropertyStreamEquivalence(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
 				in := genInstance(seed)
 				ops := genOps(len(in.rows), seed)
-				if msg := checkStream(in, ops, mode.opts, &patched); msg != "" {
-					ops = shrinkOps(in, ops, mode.opts)
+				if msg := checkStream(in.streamCase(), ops, mode.opts, &patched); msg != "" {
+					ops = shrinkOps(in.streamCase(), ops, mode.opts)
 					t.Fatalf("seed %d: %s\nshrunk ops: %+v", seed, msg, ops)
 				}
 			}
@@ -194,6 +211,91 @@ func TestPropertyStreamEquivalence(t *testing.T) {
 	}
 	if patched == 0 {
 		t.Error("Report.Patched stayed 0 across the whole corpus: certification caching never fired")
+	}
+}
+
+// genSimOps derives a deterministic streaming-op sequence for a sim-MD
+// instance, in the shape genOps gives the nil-master corpus: overwrites,
+// appends, resurrections and deletes, every op valid at its position. New
+// names are a few edits away from names already in the instance, so
+// updates keep hitting the similarity MD's memoized lookups, with a share
+// of never-seen values, nulls and names too short for the LCS bound.
+func genSimOps(in *simInstance, seed int64) []gen.Update {
+	rng := rand.New(rand.NewSource(seed ^ 0x51a0))
+	nameAttr := in.dschema.MustIndex("name")
+	const alphabet = "abc"
+	name := func() string {
+		switch rng.Intn(10) {
+		case 0:
+			return relation.Null
+		case 1:
+			i := rng.Intn(3)
+			return alphabet[i : i+1]
+		}
+		b := []byte(in.rows[rng.Intn(len(in.rows))][nameAttr])
+		if relation.IsNull(string(b)) {
+			b = []byte("abcab")
+		}
+		for k := rng.Intn(3); k > 0 && len(b) > 1; k-- {
+			b[rng.Intn(len(b))] = alphabet[rng.Intn(3)]
+		}
+		return string(b)
+	}
+	live := len(in.rows)
+	deleted := make(map[int]bool)
+	var out []gen.Update
+	for n := 3 + rng.Intn(4); len(out) < n; {
+		if rng.Intn(5) == 0 {
+			id := rng.Intn(live)
+			if !deleted[id] {
+				deleted[id] = true
+				out = append(out, gen.Update{Delete: true, ID: id})
+			}
+			continue
+		}
+		id := rng.Intn(live + 1)
+		if id == live {
+			live++
+		}
+		delete(deleted, id)
+		conf := make([]float64, 4)
+		for a := range conf {
+			conf[a] = rng.Float64() * 0.75
+		}
+		out = append(out, gen.Update{ID: id, Conf: conf, Values: []string{
+			fmt.Sprintf("a%d", rng.Intn(3)), fmt.Sprintf("b%d", rng.Intn(3)),
+			name(), fmt.Sprintf("c%d", rng.Intn(3)),
+		}})
+	}
+	return out
+}
+
+// TestPropertyStreamEquivalenceSimMD replays update streams over the sim-MD
+// corpus, where stream sub-runs share the similarity matcher's per-value
+// memo through the prototype matchers: every accepted update must stay on
+// the from-scratch oracle, sequentially and through a forced 4-worker pool.
+func TestPropertyStreamEquivalenceSimMD(t *testing.T) {
+	seeds := int64(400)
+	if testing.Short() {
+		seeds = 60
+	}
+	seq := DefaultOptions()
+	seq.Workers = 1
+	pool := DefaultOptions()
+	pool.Workers = 4
+	pool.SeqCutoff = -1
+	patched := 0
+	for _, mode := range []faultMode{{"seq", seq}, {"pool", pool}} {
+		t.Run(mode.name, func(t *testing.T) {
+			for seed := int64(0); seed < seeds; seed++ {
+				in := genSimInstance(seed)
+				ops := genSimOps(in, seed)
+				if msg := checkStream(in.streamCase(), ops, mode.opts, &patched); msg != "" {
+					ops = shrinkOps(in.streamCase(), ops, mode.opts)
+					t.Fatalf("seed %d: %s\nshrunk ops: %+v", seed, msg, ops)
+				}
+			}
+		})
 	}
 }
 

@@ -38,9 +38,14 @@ func Levenshtein(a, b string) int {
 	return prev[len(b)]
 }
 
+// withinStackK is the largest threshold whose band rows Within keeps in
+// fixed stack arrays; larger thresholds allocate them.
+const withinStackK = 8
+
 // Within reports whether the edit distance between a and b is at most k,
 // using a banded dynamic program that runs in O(k*min(|a|,|b|)) time. It is
-// the workhorse of MD similarity checking.
+// the workhorse of MD similarity checking, and allocates nothing for
+// k <= withinStackK.
 func Within(a, b string, k int) bool {
 	if k < 0 {
 		return false
@@ -57,8 +62,13 @@ func Within(a, b string, k int) bool {
 	// Band of width 2k+1 around the diagonal.
 	const inf = 1 << 30
 	width := 2*k + 1
-	prev := make([]int, width)
-	cur := make([]int, width)
+	var prevBuf, curBuf [2*withinStackK + 1]int
+	var prev, cur []int
+	if width <= len(prevBuf) {
+		prev, cur = prevBuf[:width], curBuf[:width]
+	} else {
+		prev, cur = make([]int, width), make([]int, width)
+	}
 	// prev[d] holds the cost at column j = i + (d - k) for the current row i.
 	for d := 0; d < width; d++ {
 		j := d - k
@@ -69,6 +79,7 @@ func Within(a, b string, k int) bool {
 		}
 	}
 	for i := 1; i <= len(a); i++ {
+		rowMin := inf
 		for d := 0; d < width; d++ {
 			j := i + d - k
 			if j < 0 || j > len(b) {
@@ -77,6 +88,7 @@ func Within(a, b string, k int) bool {
 			}
 			if j == 0 {
 				cur[d] = i
+				rowMin = min(rowMin, i)
 				continue
 			}
 			cost := 1
@@ -94,6 +106,12 @@ func Within(a, b string, k int) bool {
 				best = prev[d+1] + 1
 			}
 			cur[d] = best
+			rowMin = min(rowMin, best)
+		}
+		// Costs never decrease along an alignment path, and every path to
+		// the final cell crosses this row inside the band.
+		if rowMin > k {
+			return false
 		}
 		prev, cur = cur, prev
 	}

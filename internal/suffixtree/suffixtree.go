@@ -8,32 +8,60 @@
 // |v|^2 node visits) and returns the top-l indexed strings ranked by the
 // length of their longest common substring with v, reducing the MD-matching
 // search space from |Dm| to a constant l.
+//
+// The layout is flat: nodes live in one slice and find their children in a
+// short (first byte, index) list. Which strings a lookup has reached is
+// kept in a pooled generation-stamped array, so lookups allocate only their
+// result and may run concurrently once the tree is no longer added to.
 package suffixtree
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // Tree is a generalized suffix tree over a set of strings.
 type Tree struct {
 	strings []string
-	root    *node
+	nodes   []node    // nodes[0] is the root
+	scratch sync.Pool // *walkState, reused across lookups
 }
 
 type node struct {
-	children map[byte]*edge
+	label string  // the edge label leading into this node; "" at the root
+	kids  []child // outgoing edges, at most one per first byte
 	// ids lists, in increasing order, the indexed strings whose suffixes
 	// pass through this node, i.e. the strings containing the substring
 	// this node spells.
 	ids []int32
 }
 
-type edge struct {
-	label string
-	to    *node
+// child is one outgoing edge: the first byte of its label and the node it
+// leads to.
+type child struct {
+	b byte
+	n int32
+}
+
+// locus is a point a walk reached: the node below it and the matched depth,
+// which may end inside the node's edge label.
+type locus struct {
+	n, depth int32
+}
+
+// walkState is the per-lookup scratch: stamp[id] == gen marks string id as
+// already reached by the current lookup.
+type walkState struct {
+	gen   uint32
+	stamp []uint32
+	loci  []locus
+	hits  []Match
 }
 
 // New returns an empty tree.
 func New() *Tree {
-	return &Tree{root: &node{children: make(map[byte]*edge)}}
+	return &Tree{nodes: []node{{}}}
 }
 
 // Len returns the number of indexed strings.
@@ -60,96 +88,118 @@ func (n *node) addID(id int32) {
 	n.ids = append(n.ids, id)
 }
 
+// child returns the node reached from n over the edge starting with b, or
+// -1 when there is none.
+func (t *Tree) child(n int32, b byte) int32 {
+	for _, c := range t.nodes[n].kids {
+		if c.b == b {
+			return c.n
+		}
+	}
+	return -1
+}
+
 func (t *Tree) insertSuffix(suf string, id int32) {
-	cur := t.root
-	i := 0
-	for i < len(suf) {
-		e, ok := cur.children[suf[i]]
-		if !ok {
-			leaf := &node{children: make(map[byte]*edge), ids: []int32{id}}
-			cur.children[suf[i]] = &edge{label: suf[i:], to: leaf}
+	cur := int32(0)
+	for i := 0; i < len(suf); {
+		c := t.child(cur, suf[i])
+		if c < 0 {
+			t.link(cur, node{label: suf[i:], ids: []int32{id}})
 			return
 		}
-		j := 0
-		for j < len(e.label) && i+j < len(suf) && e.label[j] == suf[i+j] {
+		label := t.nodes[c].label
+		j := 1
+		for j < len(label) && i+j < len(suf) && label[j] == suf[i+j] {
 			j++
 		}
-		if j == len(e.label) {
-			cur = e.to
-			cur.addID(id)
-			i += j
-			continue
+		if j < len(label) {
+			// Split the edge at offset j: node c keeps its slot, so its
+			// parent's link stays valid, and becomes the middle node over
+			// the matched part; its old subtree moves below it with the
+			// rest of the label. The middle node inherits the subtree's id
+			// set; ids arrive in increasing order, so appending id keeps
+			// the set sorted.
+			low := t.nodes[c]
+			low.label = label[j:]
+			t.nodes[c] = node{label: label[:j], ids: append([]int32(nil), low.ids...)}
+			t.link(c, low)
 		}
-		// Split the edge at offset j. The new middle node inherits the
-		// id set of the old subtree; since ids are inserted in
-		// increasing order, appending id keeps the set sorted.
-		mid := &node{
-			children: map[byte]*edge{e.label[j]: {label: e.label[j:], to: e.to}},
-			ids:      append([]int32(nil), e.to.ids...),
-		}
-		e.label = e.label[:j]
-		e.to = mid
-		mid.addID(id)
-		if i+j == len(suf) {
-			return
-		}
-		leaf := &node{children: make(map[byte]*edge), ids: []int32{id}}
-		mid.children[suf[i+j]] = &edge{label: suf[i+j:], to: leaf}
-		return
-	}
-}
-
-// locate walks sub from the root and returns the deepest reached edge target
-// whose path spells a prefix extending sub, or nil when sub is not a
-// substring of any indexed string.
-func (t *Tree) locate(sub string) *node {
-	cur := t.root
-	i := 0
-	for i < len(sub) {
-		e, ok := cur.children[sub[i]]
-		if !ok {
-			return nil
-		}
-		j := 0
-		for j < len(e.label) && i+j < len(sub) {
-			if e.label[j] != sub[i+j] {
-				return nil
-			}
-			j++
-		}
+		cur = c
+		t.nodes[cur].addID(id)
 		i += j
-		cur = e.to
 	}
-	return cur
 }
 
-// Contains reports whether sub is a substring of some indexed string.
-func (t *Tree) Contains(sub string) bool {
-	if sub == "" {
-		return t.Len() > 0
-	}
-	return t.locate(sub) != nil
+// link appends n as a new child of parent.
+func (t *Tree) link(parent int32, n node) {
+	t.nodes = append(t.nodes, n)
+	t.nodes[parent].kids = append(t.nodes[parent].kids, child{b: n.label[0], n: int32(len(t.nodes) - 1)})
 }
 
-// StringsContaining returns the ids of all indexed strings that contain sub,
-// in increasing order.
-func (t *Tree) StringsContaining(sub string) []int {
-	if sub == "" {
-		out := make([]int, t.Len())
-		for i := range out {
-			out[i] = i
+// walk matches every suffix of v of length >= minLen greedily from the root
+// and appends, for each, the loci it reaches at depth >= minLen: every such
+// locus when first is false, only the shallowest one when first is true.
+// The strings under a locus share with v a substring as long as its depth.
+// Along one suffix's path each node's strings are a subset of its parent's,
+// so the shallowest qualifying locus already covers every string the
+// deeper ones would add.
+func (t *Tree) walk(v string, minLen int, first bool, loci []locus) []locus {
+	for i := 0; i+minLen <= len(v); i++ {
+		suf := v[i:]
+		cur, depth := int32(0), 0
+		for depth < len(suf) {
+			c := t.child(cur, suf[depth])
+			if c < 0 {
+				break
+			}
+			label := t.nodes[c].label
+			j := 1
+			for j < len(label) && depth+j < len(suf) && label[j] == suf[depth+j] {
+				j++
+			}
+			depth += j
+			if depth >= minLen {
+				loci = append(loci, locus{n: c, depth: int32(depth)})
+				if first {
+					break
+				}
+			}
+			if j < len(label) {
+				break // stopped mid-edge
+			}
+			cur = c
 		}
-		return out
 	}
-	n := t.locate(sub)
-	if n == nil {
-		return nil
+	return loci
+}
+
+// state takes a walk scratch from the pool, sized for the current tree,
+// advanced to a fresh generation and with no hits.
+func (t *Tree) state() *walkState {
+	s, _ := t.scratch.Get().(*walkState)
+	if s == nil {
+		s = &walkState{}
 	}
-	out := make([]int, len(n.ids))
-	for i, id := range n.ids {
-		out[i] = int(id)
+	if len(s.stamp) < len(t.strings) {
+		s.stamp, s.gen = make([]uint32, len(t.strings)), 0
 	}
-	return out
+	if s.gen++; s.gen == 0 { // wrapped: old stamps could collide
+		clear(s.stamp)
+		s.gen = 1
+	}
+	s.hits = s.hits[:0]
+	return s
+}
+
+// collect appends to s.hits, credited with lc's depth, every string under
+// lc that this lookup has not reached yet.
+func (t *Tree) collect(s *walkState, lc locus) {
+	for _, id := range t.nodes[lc.n].ids {
+		if s.stamp[id] != s.gen {
+			s.stamp[id] = s.gen
+			s.hits = append(s.hits, Match{ID: int(id), LCS: int(lc.depth)})
+		}
+	}
 }
 
 // StringsWithCommonSubstring returns the ids of every indexed string sharing
@@ -169,18 +219,20 @@ func (t *Tree) StringsWithCommonSubstring(v string, minLen int) []int32 {
 	if len(v) < minLen {
 		return nil
 	}
-	best := make(map[int32]int)
-	for i := 0; i+minLen <= len(v); i++ {
-		t.walkFrom(v[i:], minLen, best)
+	s := t.state()
+	defer t.scratch.Put(s)
+	s.loci = t.walk(v, minLen, true, s.loci[:0])
+	for _, lc := range s.loci {
+		t.collect(s, lc)
 	}
-	if len(best) == 0 {
+	if len(s.hits) == 0 {
 		return nil
 	}
-	out := make([]int32, 0, len(best))
-	for id := range best {
-		out = append(out, id)
+	out := make([]int32, len(s.hits))
+	for k, h := range s.hits {
+		out[k] = int32(h.ID)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -197,6 +249,11 @@ type Match struct {
 // 5.2: strings within edit distance K of v share a common substring of
 // length at least max(|u|,|v|)/(K+1), so candidates below that bound can be
 // skipped. A minLen < 1 is treated as 1.
+//
+// The loci are visited deepest first, so a string is first reached at its
+// exact LCS; once a whole depth has been visited and l strings are known,
+// every string of the top l is among them and the shallower loci — the
+// largest id sets, near the root — are never scanned.
 func (t *Tree) TopL(v string, l, minLen int) []Match {
 	if l <= 0 || len(v) == 0 {
 		return nil
@@ -204,54 +261,19 @@ func (t *Tree) TopL(v string, l, minLen int) []Match {
 	if minLen < 1 {
 		minLen = 1
 	}
-	best := make(map[int32]int)
-	for i := 0; i < len(v); i++ {
-		t.walkFrom(v[i:], minLen, best)
-	}
-	if len(best) == 0 {
-		return nil
-	}
-	out := make([]Match, 0, len(best))
-	for id, lcs := range best {
-		out = append(out, Match{ID: int(id), LCS: lcs})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LCS != out[j].LCS {
-			return out[i].LCS > out[j].LCS
+	s := t.state()
+	defer t.scratch.Put(s)
+	loci := t.walk(v, minLen, false, s.loci[:0])
+	s.loci = loci
+	slices.SortFunc(loci, func(a, b locus) int { return cmp.Compare(b.depth, a.depth) })
+	for k, lc := range loci {
+		if len(s.hits) >= l && lc.depth < loci[k-1].depth {
+			break
 		}
-		return out[i].ID < out[j].ID
+		t.collect(s, lc)
+	}
+	slices.SortFunc(s.hits, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(b.LCS, a.LCS), cmp.Compare(a.ID, b.ID))
 	})
-	if len(out) > l {
-		out = out[:l]
-	}
-	return out
-}
-
-// walkFrom matches suf greedily from the root and records, for every string
-// under each visited locus at depth >= minLen, the matched depth.
-func (t *Tree) walkFrom(suf string, minLen int, best map[int32]int) {
-	cur := t.root
-	depth := 0
-	for depth < len(suf) {
-		e, ok := cur.children[suf[depth]]
-		if !ok {
-			return
-		}
-		j := 0
-		for j < len(e.label) && depth+j < len(suf) && e.label[j] == suf[depth+j] {
-			j++
-		}
-		depth += j
-		if depth >= minLen {
-			for _, id := range e.to.ids {
-				if depth > best[id] {
-					best[id] = depth
-				}
-			}
-		}
-		if j < len(e.label) {
-			return // stopped mid-edge
-		}
-		cur = e.to
-	}
+	return append([]Match(nil), s.hits[:min(l, len(s.hits))]...)
 }

