@@ -19,10 +19,15 @@ import (
 // edit-distance matches are frequent (many violating (t, s) pairs — enough
 // to cross the per-rule report cap on dirtier seeds), and a few names are
 // shorter than the edit threshold itself, defeating the LCS pigeonhole bound
-// and forcing the checker's per-tuple full-scan fallback.
+// and forcing the checker's per-tuple full-scan fallback. Every fifth seed
+// adds a second non-exact premise clause, a Jaro-Winkler test on C, and
+// concludes on B instead: tuples that share a name but differ on C then
+// match different master tuples, so a similarity memo keyed by the name
+// alone would hand one tuple another's matches.
 type simInstance struct {
 	seed    int64
 	editK   int
+	twoSim  bool // premise name ≈ name ∧ C ≈ C, conclusion B = B
 	dschema *relation.Schema
 	rows    [][]string
 	confs   [][]float64
@@ -33,9 +38,9 @@ type simInstance struct {
 // genSimInstance derives a sim-MD instance deterministically from seed.
 func genSimInstance(seed int64) *simInstance {
 	rng := rand.New(rand.NewSource(seed ^ 0x51517e57))
-	in := &simInstance{seed: seed, editK: 1 + rng.Intn(2)}
+	in := &simInstance{seed: seed, editK: 1 + rng.Intn(2), twoSim: seed%5 == 4}
 	in.dschema = relation.NewSchema("R", "A", "B", "name", "C")
-	mschema := relation.NewSchema("M", "name", "C")
+	mschema := relation.NewSchema("M", "name", "C", "B")
 
 	// Name stems over a tiny alphabet; variants are a few random edits away,
 	// so tuples block to several master candidates at once.
@@ -94,7 +99,7 @@ func genSimInstance(seed int64) *simInstance {
 
 	in.master = relation.New(mschema)
 	for j, n := 0, 2+rng.Intn(4); j < n; j++ {
-		in.master.Append(name(), domainC[rng.Intn(len(domainC))])
+		in.master.Append(name(), domainC[rng.Intn(len(domainC))], fmt.Sprintf("b%d", j%3))
 	}
 	in.master.SetAllConf(1)
 
@@ -125,9 +130,13 @@ func genSimInstance(seed int64) *simInstance {
 		cfds = append(cfds, cfd.New("constAC", in.dschema,
 			[]string{"A"}, []string{"a0"}, "C", domainC[rng.Intn(len(domainC))]))
 	}
-	m := md.New("simMD", in.dschema, mschema,
-		[]md.ClauseSpec{md.Sim("name", "name", similarity.EditWithin(in.editK))},
-		[]md.PairSpec{{Data: "C", Master: "C"}})
+	premise := []md.ClauseSpec{md.Sim("name", "name", similarity.EditWithin(in.editK))}
+	conclusion := []md.PairSpec{{Data: "C", Master: "C"}}
+	if in.twoSim {
+		premise = append(premise, md.Sim("C", "C", similarity.JaroWinklerAtLeast(0.9)))
+		conclusion = []md.PairSpec{{Data: "B", Master: "B"}}
+	}
+	m := md.New("simMD", in.dschema, mschema, premise, conclusion)
 	in.rules = rule.Derive(cfds, []*md.MD{m})
 	return in
 }
@@ -151,6 +160,24 @@ func (in *simInstance) hasShortName() bool {
 		if !relation.IsNull(row[a]) && len(row[a]) <= in.editK {
 			return true
 		}
+	}
+	return false
+}
+
+// splitsPremise reports whether this instance has a two-clause premise and
+// two data tuples that share a name but differ on C — the case a memo keyed
+// by the edit clause's value alone gets wrong.
+func (in *simInstance) splitsPremise() bool {
+	if !in.twoSim {
+		return false
+	}
+	n, c := in.dschema.MustIndex("name"), in.dschema.MustIndex("C")
+	cOf := make(map[string]string)
+	for _, row := range in.rows {
+		if prev, ok := cOf[row[n]]; ok && prev != row[c] && !relation.IsNull(row[n]) {
+			return true
+		}
+		cOf[row[n]] = row[c]
 	}
 	return false
 }
@@ -188,7 +215,7 @@ func diffReports(got, want *Report) string {
 // bound-defeating short names, or the pin is vacuous there.
 func TestCheckerBlockedOrderIdentity(t *testing.T) {
 	const seeds = 400
-	sawTruncated, sawCapExact, sawShort := false, false, false
+	sawTruncated, sawCapExact, sawShort, sawSplit := false, false, false, false
 	for seed := int64(0); seed < seeds; seed++ {
 		in := genSimInstance(seed)
 		d := in.data()
@@ -212,6 +239,9 @@ func TestCheckerBlockedOrderIdentity(t *testing.T) {
 		if in.hasShortName() {
 			sawShort = true
 		}
+		if in.splitsPremise() {
+			sawSplit = true
+		}
 	}
 	if !sawTruncated {
 		t.Error("corpus never crossed the per-rule violation cap; the truncation boundary is untested")
@@ -219,6 +249,9 @@ func TestCheckerBlockedOrderIdentity(t *testing.T) {
 	_ = sawCapExact // exactly-at-cap is rare; crossing the cap is what matters
 	if !sawShort {
 		t.Error("corpus has no LCS-bound-defeating short names; the scan fallback is untested")
+	}
+	if !sawSplit {
+		t.Error("corpus has no two-clause premise splitting a name on C; the memo key is untested")
 	}
 }
 

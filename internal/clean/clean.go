@@ -155,9 +155,9 @@ func (e *Engine) inline(work int) bool {
 // fan-out itself, the pool pays per item: a proposal slot and a recover
 // frame, and a record, rewind and replay of every write. Measured on two
 // CPUs, pooled worklists of CFD visits (one unit each) and of memoized
-// similarity-MD visits (about ten) never beat running them inline, from 500
-// to 50k tuples; items that scan Dm or hold large groups are what the pool
-// is for.
+// similarity-MD visits (estimated at about ten, and a memo hit only reads
+// the stored matches) never beat running them inline, from 500 to 50k
+// tuples; items that scan Dm or hold large groups are what the pool is for.
 const minPooledItemCost = 64
 
 // inlineItems is inline for an applier worklist of items work items costing
@@ -171,10 +171,12 @@ func (e *Engine) inlineItems(items, itemCost int) bool {
 
 // visitCost estimates the work of one tuple visit of rule ri in units of a
 // plain tuple visit, from counts the engine already keeps. A CFD visit is
-// one unit. An MD visit also verifies the premise on each blocked
-// candidate: the rule's running average of candidates per lookup once it
-// has probed; before that, the TopL cap for a suffix tree and one for an
-// equality bucket; and all of Dm for an MD without an index.
+// one unit. An MD visit adds the candidates blocking yields: the rule's
+// running average of candidates per lookup once it has probed; before that,
+// the TopL cap for a suffix tree and one for an equality bucket; and all of
+// Dm for an MD without an index. Equality and full-scan lookups verify the
+// premise on each of them. For a suffix tree it is an upper bound: only a
+// memo miss verifies them, a hit just reads the stored matches.
 func (e *Engine) visitCost(ri int) int {
 	switch x := e.matchers[ri]; {
 	case x == nil:

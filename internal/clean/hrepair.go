@@ -271,7 +271,10 @@ func (ap *applier) masterSuggestions(a int, members []int) map[string]bool {
 				continue
 			}
 			for _, i := range members {
-				for _, j := range ap.matchers[ri].probe(e.data.Tuples[i]) {
+				// Uncounted: the per-MD stats measure matching work only,
+				// one lookup per tuple per round.
+				_, ids, _ := ap.matchers[ri].lookup(e.data.Tuples[i])
+				for _, j := range ids {
 					if v := e.master.Tuples[j].Values[p.MasterAttr]; !relation.IsNull(v) {
 						out[v] = true
 					}

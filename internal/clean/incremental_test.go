@@ -254,7 +254,7 @@ func TestCheckerMDBlockingIsExact(t *testing.T) {
 		}
 		var blocked []md.Violation
 		visited := 0
-		c.visitMDViolations(data, r.MD, c.matchers[ri], &visited, func(v md.Violation) bool {
+		c.visitMDViolationsRange(data, r.MD, c.matchers[ri], 0, data.Len(), &visited, func(v md.Violation) bool {
 			blocked = append(blocked, v)
 			return true
 		})

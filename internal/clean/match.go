@@ -37,50 +37,59 @@ type matcher struct {
 	tree      *suffixtree.Tree
 	treeIDs   [][]int // suffix-tree string id -> master tuple indexes
 	memo      *simMemo
+	premData  []int // data attrs of every premise clause: the memo key
 
 	// allIDs is the identity list the index-less fallback scans, built once
 	// and shared read-only with every fork.
 	allIDs []int
 
 	// keyBuf backs the equality-index key, probed as string(keyBuf), which
-	// allocates nothing. It is private per matcher; pool workers probe
-	// through forks.
+	// allocates nothing, and builds a multi-clause premise's memo key. It is
+	// private per matcher; pool workers probe through forks.
 	keyBuf []byte
 
 	stats MatchStats
 }
 
-// simMemo holds, per distinct query value, the two suffix-tree
-// enumerations of a similarity matcher: block, the master tuples of the
-// TopL-blocked strings in rank order (repair), and cert, the ascending
-// exact superset (certification). Both are pure functions of the value over
-// the immutable tree, so the memo is shared by every fork of the matcher —
-// pool workers, certification tasks, stream sub-runs — and whichever fork
-// fills an entry first, every reader sees the same list. Walks run outside
-// the lock; a lost race only recomputes an identical list. Returned lists
-// are shared and must not be modified.
+// simMemo holds a similarity matcher's two suffix-tree enumerations per
+// distinct premise projection of a data tuple, verified: block from the
+// TopL-blocked strings in rank order (repair), cert from the ascending exact
+// superset (certification). MatchLHS reads only the premise cells of the
+// data tuple, and the tree and master are immutable, so an entry is a pure
+// function of its key, and every fork of the matcher — pool workers,
+// certification tasks, stream sub-runs — shares the memo and reads equal
+// entries whichever fork filled them. Returned lists must not be modified.
 type simMemo struct {
 	mu          sync.Mutex
-	block, cert map[string][]int
+	block, cert map[string]simEntry
 }
 
-// get returns tab[v], computing and storing it with walk on a miss.
-func (c *simMemo) get(tab map[string][]int, v string, walk func() []int) []int {
-	c.mu.Lock()
-	ids, ok := tab[v]
-	c.mu.Unlock()
-	if ok {
-		return ids
+type simEntry struct {
+	raw int   // blocked candidates the premise was verified on
+	ids []int // those on which it holds
+}
+
+// memoized returns tab's entry for t, keyed by t's projection on the premise
+// data attributes — for a one-clause premise the value itself, sharing the
+// tuple's bytes. A miss verifies blocked() outside the lock; a lost race
+// only recomputes and stores an equal entry.
+func (x *matcher) memoized(tab map[string]simEntry, t *relation.Tuple, blocked func() []int) simEntry {
+	key := t.Values[x.simData]
+	if len(x.premData) > 1 {
+		x.keyBuf = relation.AppendKey(x.keyBuf[:0], t, x.premData)
+		key = string(x.keyBuf)
 	}
-	ids = walk()
-	c.mu.Lock()
-	if prev, ok := tab[v]; ok {
-		ids = prev
-	} else {
-		tab[v] = ids
+	x.memo.mu.Lock()
+	e, ok := tab[key]
+	x.memo.mu.Unlock()
+	if !ok {
+		ids := blocked()
+		e = simEntry{len(ids), x.verify(t, ids)}
+		x.memo.mu.Lock()
+		tab[key] = e
+		x.memo.mu.Unlock()
 	}
-	c.mu.Unlock()
-	return ids
+	return e
 }
 
 // fork returns a matcher sharing x's immutable blocking indexes — the
@@ -93,19 +102,6 @@ func (x *matcher) fork() *matcher {
 	f.keyBuf = nil
 	f.stats = MatchStats{MasterSize: x.stats.MasterSize}
 	return &f
-}
-
-// eqClauses returns the data- and master-side attributes of an MD's
-// equality clauses — the premise part an exact-match blocking index can key
-// on.
-func eqClauses(m *md.MD) (data, master []int) {
-	for _, cl := range m.LHS {
-		if cl.Pred.Exact {
-			data = append(data, cl.DataAttr)
-			master = append(master, cl.MasterAttr)
-		}
-	}
-	return data, master
 }
 
 // buildEqIndex indexes the master relation by its projection on attrs. The
@@ -123,18 +119,22 @@ func buildEqIndex(master *relation.Relation, attrs []int) map[string][]int {
 func newMatcher(m *md.MD, master *relation.Relation, topL int) *matcher {
 	x := &matcher{m: m, master: master, topL: topL, simData: -1}
 	x.stats.MasterSize = master.Len()
-	x.eqDataAttrs, x.eqMasterAttrs = eqClauses(m)
 	for _, cl := range m.LHS {
+		if cl.Pred.Exact { // the premise part an exact-match index can key on
+			x.eqDataAttrs = append(x.eqDataAttrs, cl.DataAttr)
+			x.eqMasterAttrs = append(x.eqMasterAttrs, cl.MasterAttr)
+		}
 		if k, ok := cl.Pred.EditThreshold(); ok && !cl.Pred.Exact && x.simData < 0 {
 			x.simData, x.simMaster, x.simK = cl.DataAttr, cl.MasterAttr, k
 		}
+		x.premData = append(x.premData, cl.DataAttr)
 	}
 	switch {
 	case len(x.eqDataAttrs) > 0:
 		x.eqIndex = buildEqIndex(master, x.eqMasterAttrs)
 	case x.simData >= 0:
 		x.tree = suffixtree.New()
-		x.memo = &simMemo{block: make(map[string][]int), cert: make(map[string][]int)}
+		x.memo = &simMemo{block: make(map[string]simEntry), cert: make(map[string]simEntry)}
 		byValue := make(map[string]int)
 		for j, s := range master.Tuples {
 			v := s.Values[x.simMaster]
@@ -151,7 +151,7 @@ func newMatcher(m *md.MD, master *relation.Relation, topL int) *matcher {
 		}
 	default:
 		// No usable index: every lookup scans Dm. The identity list is
-		// built here, not lazily in block, so forks can share it.
+		// built here, not lazily in lookup, so forks can share it.
 		x.allIDs = make([]int, master.Len())
 		for j := range x.allIDs {
 			x.allIDs[j] = j
@@ -162,42 +162,34 @@ func newMatcher(m *md.MD, master *relation.Relation, topL int) *matcher {
 
 // candidates returns the master tuple indexes on which the full MD premise
 // holds for t, going through the blocking indexes when available, and counts
-// the query in the matcher's statistics.
+// the query in the matcher's statistics. The slice may be shared: read only.
 func (x *matcher) candidates(t *relation.Tuple) []int {
+	raw, ids, scanned := x.lookup(t)
 	x.stats.Lookups++
-	ids, scanned := x.block(t)
 	if scanned {
 		x.stats.FullScans++
 	}
-	x.stats.Candidates += len(ids)
-	out := x.verify(t, ids)
-	x.stats.Verified += len(out)
-	return out
+	x.stats.Candidates += raw
+	x.stats.Verified += len(ids)
+	return ids
 }
 
-// probe is candidates without the statistics. hRepair's master-data
-// tie-breaking uses it so the per-MD stats keep measuring matching work
-// only, one lookup per tuple per round.
-func (x *matcher) probe(t *relation.Tuple) []int {
-	ids, _ := x.block(t)
-	return x.verify(t, ids)
-}
-
-// block returns the raw candidate ids for t from the blocking indexes, and
-// whether it had to fall back to a full scan of the master relation. The
-// returned slice is shared — an index bucket, a memo entry or the fallback
-// identity list — and must not be modified.
-func (x *matcher) block(t *relation.Tuple) (ids []int, fullScan bool) {
+// lookup returns how many raw candidates the blocking indexes yield for t,
+// those on which the full premise holds, and whether blocking fell back to
+// a full scan of the master relation, without counting the query. A
+// suffix-tree matcher verifies each distinct premise projection once.
+func (x *matcher) lookup(t *relation.Tuple) (raw int, ids []int, fullScan bool) {
 	switch {
 	case x.eqIndex != nil:
 		x.keyBuf = relation.AppendKey(x.keyBuf[:0], t, x.eqDataAttrs)
-		return x.eqIndex[string(x.keyBuf)], false
+		bucket := x.eqIndex[string(x.keyBuf)]
+		return len(bucket), x.verify(t, bucket), false
 	case x.tree != nil:
 		v := t.Values[x.simData]
 		if relation.IsNull(v) {
-			return nil, false
+			return 0, nil, false
 		}
-		return x.memo.get(x.memo.block, v, func() []int {
+		e := x.memoized(x.memo.block, t, func() []int {
 			// Partition v into K+1 contiguous pieces: at most K edits touch
 			// at most K pieces, so edit(u, v) <= K implies u contains one
 			// piece unchanged — a common substring of length >=
@@ -208,63 +200,66 @@ func (x *matcher) block(t *relation.Tuple) (ids []int, fullScan bool) {
 				ids = append(ids, x.treeIDs[mt.ID]...)
 			}
 			return ids
-		}), false
+		})
+		return e.raw, e.ids, false
 	default:
-		return x.allIDs, true
+		return len(x.allIDs), x.verify(t, x.allIDs), true
 	}
 }
 
-// certCandidates returns, in ascending master-tuple order, an exact blocking
-// superset of the master tuples on which x's MD premise can hold for t:
-// every (t, s) pair with s outside the returned set fails at least one
-// premise clause. ok is false when no index yields an exact superset for
-// this tuple — the MD has no equality clause and either no suffix tree was
-// built (no edit-distance clause) or t's value is too short for the LCS
-// pigeonhole bound to hold (len(v) <= K, where v can be edited into anything
-// without leaving a piece intact) — and the caller must fall back to
-// scanning Dm for this tuple.
+// certCandidates enumerates an exact blocking superset of the master tuples
+// on which x's MD premise can hold for t — every (t, s) pair with s outside
+// it fails at least one premise clause — and returns its size raw and, in
+// ascending order, its members: an equality bucket whole, a suffix-tree
+// superset already filtered by the full premise. ok is false when no index
+// yields an exact superset for this tuple — the MD has no equality clause
+// and either no suffix tree was built (no edit-distance clause) or t's value
+// is too short for the LCS pigeonhole bound to hold (len(v) <= K, where v
+// can be edited into anything without leaving a piece intact) — and the
+// caller must fall back to scanning Dm for this tuple.
 //
-// Unlike block it never truncates: block serves repair, where TopL capping a
-// candidate list only costs recall, while certCandidates serves the Checker,
-// where a dropped candidate would falsify the certified Report. The returned
-// slice is shared like block's; the matcher's statistics are untouched
-// (certification must not count as matching work).
-func (x *matcher) certCandidates(t *relation.Tuple) (ids []int, ok bool) {
+// Unlike lookup it never truncates: lookup serves repair, where TopL
+// capping a candidate list only costs recall, while certCandidates serves
+// the Checker, where a dropped candidate would falsify the certified Report.
+// The slice is shared like lookup's; the matcher's statistics are untouched.
+func (x *matcher) certCandidates(t *relation.Tuple) (raw int, ids []int, ok bool) {
 	switch {
 	case x.eqIndex != nil:
 		// Exact: a master tuple outside the bucket differs on an equality
 		// clause's projection. Buckets hold ascending indexes.
 		x.keyBuf = relation.AppendKey(x.keyBuf[:0], t, x.eqDataAttrs)
-		return x.eqIndex[string(x.keyBuf)], true
+		bucket := x.eqIndex[string(x.keyBuf)]
+		return len(bucket), bucket, true
 	case x.tree != nil:
 		v := t.Values[x.simData]
 		if relation.IsNull(v) {
-			return nil, true // the edit clause never matches null
+			return 0, nil, true // the edit clause never matches null
 		}
 		minLen := len(v) / (x.simK + 1)
 		if minLen < 1 {
-			return nil, false // bound vacuous: K edits can consume all of v
+			return 0, nil, false // bound vacuous: K edits can consume all of v
 		}
 		// Every master value within edit distance K of v contains one of
 		// v's K+1 pieces unchanged, i.e. shares a substring of length >=
 		// minLen — so the tree enumeration is an exact superset. Sorting
 		// the union of the matched strings' tuple lists restores the
 		// ascending order a nested scan would visit.
-		return x.memo.get(x.memo.cert, v, func() []int {
+		e := x.memoized(x.memo.cert, t, func() []int {
 			var ids []int
 			for _, sid := range x.tree.StringsWithCommonSubstring(v, minLen) {
 				ids = append(ids, x.treeIDs[sid]...)
 			}
 			slices.Sort(ids)
 			return ids
-		}), true
+		})
+		return e.raw, e.ids, true
 	default:
-		return nil, false // no usable index (e.g. a lone Jaro clause)
+		return 0, nil, false // no usable index (e.g. a lone Jaro clause)
 	}
 }
 
 // verify filters candidate ids down to those on which the full premise
-// holds.
+// holds, keeping their order.
 func (x *matcher) verify(t *relation.Tuple, ids []int) []int {
 	var out []int
 	for _, j := range ids {

@@ -12,9 +12,9 @@ import (
 
 // TestMatcherMemoSharedAcrossForks probes the sim-MD corpus through forks of
 // one similarity matcher running concurrently under fanOut, each task in a
-// different tuple order, so the shared per-value memo is filled and read
-// from several goroutines at once. Every block and certCandidates list must
-// equal the one computed directly from a fresh tree that has no memo.
+// different tuple order, so the shared memo is filled and read
+// from several goroutines at once. Every lookup and certCandidates result
+// must equal the one computed directly from a fresh tree that has no memo.
 // CI runs it under -race with -count=10.
 func TestMatcherMemoSharedAcrossForks(t *testing.T) {
 	const tasks, workers = 8, 4
@@ -46,9 +46,9 @@ func TestMatcherMemoSharedAcrossForks(t *testing.T) {
 				if task%2 == 1 {
 					i = data.Len() - 1 - i
 				}
-				block, _ := x.block(data.Tuples[i])
-				cert, ok := x.certCandidates(data.Tuples[i])
-				got[task][i] = fmt.Sprint(block, cert, ok)
+				raw, ids, _ := x.lookup(data.Tuples[i])
+				craw, cert, ok := x.certCandidates(data.Tuples[i])
+				got[task][i] = fmt.Sprint(raw, ids, craw, cert, ok)
 			}
 		})
 		if err != nil {
@@ -65,12 +65,13 @@ func TestMatcherMemoSharedAcrossForks(t *testing.T) {
 	}
 }
 
-// directLists renders what block and certCandidates must return for tp,
-// computed straight from x's tree and id lists without touching its memo.
+// directLists renders what lookup and certCandidates must return for tp:
+// the raw lengths of the lists computed straight from x's tree and id
+// lists, without touching its memo, and those lists passed through verify.
 func directLists(x *matcher, tp *relation.Tuple, topL int) string {
 	v := tp.Values[x.simData]
 	if relation.IsNull(v) {
-		return fmt.Sprint([]int(nil), []int(nil), true)
+		return fmt.Sprint(0, []int(nil), 0, []int(nil), true)
 	}
 	var block []int
 	for _, m := range x.tree.TopL(v, topL, len(v)/(x.simK+1)) {
@@ -78,12 +79,12 @@ func directLists(x *matcher, tp *relation.Tuple, topL int) string {
 	}
 	minLen := len(v) / (x.simK + 1)
 	if minLen < 1 {
-		return fmt.Sprint(block, []int(nil), false)
+		return fmt.Sprint(len(block), x.verify(tp, block), 0, []int(nil), false)
 	}
 	var cert []int
 	for _, sid := range x.tree.StringsWithCommonSubstring(v, minLen) {
 		cert = append(cert, x.treeIDs[sid]...)
 	}
 	slices.Sort(cert)
-	return fmt.Sprint(block, cert, true)
+	return fmt.Sprint(len(block), x.verify(tp, block), len(cert), x.verify(tp, cert), true)
 }

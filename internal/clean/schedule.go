@@ -237,15 +237,15 @@ func (gi *groupIndex) takeKeys(phase int) []int32 {
 }
 
 // scheduler is the engine's worklist state: the reverse dependency map and,
-// per rule, either a persistent group index (variable CFDs) or per-phase
-// dirty tuple sets (constant CFDs and MDs).
+// per rule, either a persistent group index (variable CFDs) or dirty tuple
+// sets: per phase for constant CFDs, cRepair's only for MDs.
 type scheduler struct {
 	rules     []rule.Rule
 	attrRules [][]int       // attribute -> indexes of rules reading it
 	gidx      []*groupIndex // parallel to rules; nil unless VariableCFD
 	lhsSet    []map[int]bool
 	dirtyC    []*dirtySet // per-tuple rules: cRepair consumer worklist
-	dirtyH    []*dirtySet // per-tuple rules: hRepair consumer worklist
+	dirtyH    []*dirtySet // constant CFDs: hRepair consumer worklist
 
 	// attrHExtra maps an attribute to the variable-CFD rules whose hRepair
 	// target choice reads it indirectly: hTarget breaks ties by master-data
@@ -295,6 +295,8 @@ func newScheduler(rules []rule.Rule, d *relation.Relation) *scheduler {
 			s.gidx[ri] = newGroupIndex(r.CFD, d)
 		} else {
 			s.dirtyC[ri] = newDirtySet(d.Len())
+		}
+		if r.Kind == rule.ConstantCFD { // hRepair repairs no MD violations
 			s.dirtyH[ri] = newDirtySet(d.Len())
 		}
 	}
@@ -336,9 +338,10 @@ func (s *scheduler) setActive(phase, ri, i int) {
 func (s *scheduler) clearActive() { s.activeRule = -1 }
 
 // noteWrite propagates one cell write (i, a) — value, confidence or mark —
-// to every rule reading a: per-tuple rules get the tuple enqueued for both
-// the cRepair and hRepair consumers; variable CFDs get their group index
-// updated and the affected groups marked dirty for all phases.
+// to every rule reading a: per-tuple rules get the tuple enqueued for the
+// cRepair consumer and, constant CFDs, the hRepair one; variable CFDs get
+// their group index updated and the affected groups marked dirty for all
+// phases.
 func (s *scheduler) noteWrite(i, a int, t *relation.Tuple) {
 	for _, ri := range s.attrRules[a] {
 		if gi := s.gidx[ri]; gi != nil {

@@ -185,26 +185,21 @@ func VisitViolations(d, dm *relation.Relation, m *MD, fn func(Violation) bool) {
 	}
 }
 
-// VisitViolationsBlocked streams the violating (t, s) pairs of m like
-// VisitViolations, but restricts each data tuple's inner loop to the master
-// indexes produced by a blocking candidate enumerator. candidates(i, t) must
-// return master tuple indexes in ascending order, and the returned set must
-// be exact for certification — a superset of every s on which m's premise
-// can hold for t (pairs outside it must fail the premise) — so the streamed
-// violations are precisely those of the nested scan, in the same (T, S)
-// order. The returned slice is only borrowed: it may be reused by the next
-// candidates call.
-func VisitViolationsBlocked(d, dm *relation.Relation, m *MD,
-	candidates func(i int, t *relation.Tuple) []int, fn func(Violation) bool) {
-	VisitViolationsBlockedRange(d, dm, m, 0, len(d.Tuples), candidates, fn)
-}
-
-// VisitViolationsBlockedRange is VisitViolationsBlocked restricted to the
-// data tuples in [lo, hi): the sub-shard primitive that lets a caller split
-// one rule's certification scan across workers and re-concatenate the
-// per-range outputs in ascending-lo order, which reproduces the full (T, S)
-// stream exactly — the outer loop visits data tuples in index order, so
-// range outputs never interleave.
+// VisitViolationsBlockedRange streams the violating (t, s) pairs of m for
+// the data tuples in [lo, hi) like VisitViolations, but restricts each data
+// tuple's inner loop to the master indexes produced by a blocking candidate
+// enumerator. candidates(i, t) must return master tuple indexes in
+// ascending order, and the returned set must be exact for certification —
+// it must contain every s on which m's premise holds for t (pairs outside
+// it must fail the premise) — so the streamed violations are precisely
+// those of the nested scan, in the same (T, S) order. Every pair handed
+// over is still checked against the premise and the conclusion. The
+// returned slice is only borrowed: it may be reused by the next candidates
+// call. Over [0, |D|) this is the whole scan; smaller ranges let a caller
+// split one rule's certification scan across workers and re-concatenate
+// the per-range outputs in ascending-lo order, which reproduces the full
+// (T, S) stream exactly — the outer loop visits data tuples in index order,
+// so range outputs never interleave.
 func VisitViolationsBlockedRange(d, dm *relation.Relation, m *MD, lo, hi int,
 	candidates func(i int, t *relation.Tuple) []int, fn func(Violation) bool) {
 	for i := lo; i < hi; i++ {

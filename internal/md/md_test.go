@@ -258,8 +258,9 @@ func TestStringRendering(t *testing.T) {
 
 // TestVisitViolationsBlockedMatchesScan pins the blocked streaming contract:
 // with an exact candidate enumerator (here: all master indexes, and a
-// premise-filtered subset), VisitViolationsBlocked must produce exactly the
-// violations of the nested scan, in the same (T, S) order.
+// premise-filtered subset), VisitViolationsBlockedRange over [0, |D|) must
+// produce exactly the violations of the nested scan, in the same (T, S)
+// order.
 func TestVisitViolationsBlockedMatchesScan(t *testing.T) {
 	ds, ms := schemas()
 	dm := masterData(ms)
@@ -278,7 +279,7 @@ func TestVisitViolationsBlockedMatchesScan(t *testing.T) {
 		all[j] = j
 	}
 	var got []Violation
-	VisitViolationsBlocked(d, dm, m, func(int, *relation.Tuple) []int { return all },
+	VisitViolationsBlockedRange(d, dm, m, 0, d.Len(), func(int, *relation.Tuple) []int { return all },
 		func(v Violation) bool { got = append(got, v); return true })
 	if len(got) != len(want) {
 		t.Fatalf("blocked found %d violations, scan %d", len(got), len(want))
@@ -292,7 +293,7 @@ func TestVisitViolationsBlockedMatchesScan(t *testing.T) {
 	// A candidate enumerator may prune pairs that fail the premise without
 	// changing the stream.
 	got = got[:0]
-	VisitViolationsBlocked(d, dm, m, func(_ int, tp *relation.Tuple) []int {
+	VisitViolationsBlockedRange(d, dm, m, 0, d.Len(), func(_ int, tp *relation.Tuple) []int {
 		var ids []int
 		for j, s := range dm.Tuples {
 			if m.MatchLHS(tp, s) {
@@ -306,7 +307,7 @@ func TestVisitViolationsBlockedMatchesScan(t *testing.T) {
 	}
 	// Early exit must stop the stream.
 	n := 0
-	VisitViolationsBlocked(d, dm, m, func(int, *relation.Tuple) []int { return all },
+	VisitViolationsBlockedRange(d, dm, m, 0, d.Len(), func(int, *relation.Tuple) []int { return all },
 		func(Violation) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early-exit visitor called %d times, want 1", n)
