@@ -91,10 +91,10 @@ func BenchmarkRunRescan(b *testing.B) {
 	benchmarkRun(b, true, 1)
 }
 
-// BenchmarkRunParallel measures the delta-driven engine with the applier
-// pool at GOMAXPROCS workers on the same workload. On a single-core runner
-// it degenerates to the sequential path (the pool is only built for an
-// effective worker count above 1), so compare it against
+// BenchmarkRunParallel measures the delta-driven engine at GOMAXPROCS
+// workers on the same workload: certification and eRepair seeding fan out,
+// the repair worklists run on the calling goroutine. On a single-core
+// runner it degenerates to the sequential path, so compare it against
 // BenchmarkRunIncremental on the same machine.
 func BenchmarkRunParallel(b *testing.B) {
 	benchmarkRun(b, false, 0)

@@ -304,8 +304,6 @@ func TestPropertyIncrementalEquivalenceSimMD(t *testing.T) {
 	const seeds = 400
 	popts := DefaultOptions()
 	popts.Workers = 4
-	// Force the corpus through the pool: see TestPropertyIncrementalEquivalence.
-	popts.SeqCutoff = -1
 	for seed := int64(0); seed < seeds; seed++ {
 		in := genSimInstance(seed)
 		inc, ref := runModes(in.data(), in.master, in.rules, DefaultOptions())

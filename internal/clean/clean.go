@@ -65,31 +65,16 @@ type Options struct {
 	// produce fix-for-fix identical Results; Rescan exists as the
 	// correctness reference and the benchmark baseline.
 	Rescan bool
-	// Workers bounds the applier worker pool: each rule's worklist is
-	// sharded across Workers goroutines that propose fixes concurrently,
-	// and the proposals are committed through a single deterministic merge
-	// (see parallel.go), so any Workers value produces fix-for-fix
-	// identical Results — same Fixes order, Asserts, Conflicts, Rounds,
-	// work counters and certified Report. 0 means GOMAXPROCS; 1 disables
-	// the pool. The Rescan reference engine is always sequential and
-	// ignores Workers.
+	// Workers bounds the read-only fan-outs of the run — certification's
+	// per-rule tasks and eRepair's seeding pass — which write only their own
+	// task slots and are merged in task order (see parallel.go), so any
+	// Workers value produces fix-for-fix identical Results: same Fixes
+	// order, Asserts, Conflicts, Rounds, work counters and certified
+	// Report. The cRepair and hRepair worklists always run on the calling
+	// goroutine. 0 means GOMAXPROCS, and larger values are clamped to it; 1
+	// runs everything sequentially. The Rescan reference engine is always
+	// sequential and ignores Workers.
 	Workers int
-	// SeqCutoff is the work threshold below which a rule's worklist runs
-	// inline on the merge goroutine instead of fanning out to the pool:
-	// small delta rounds dominate after the seeding round, and spawning
-	// workers plus a proposal merge for a handful of tuples costs more
-	// than the visits themselves, which is how Workers > 1 used to lose
-	// to Workers = 1 on the wall clock. Work is estimated in tuple visits:
-	// tuples times the rule's estimated per-visit cost (Engine.visitCost)
-	// for per-tuple rules, total members for group rules. Independently of
-	// the total, an applier worklist whose items are each cheaper than
-	// minPooledItemCost visits runs inline. 0 means DefaultSeqCutoff;
-	// negative forces every nonempty worklist through
-	// the pool, which tests use to exercise the parallel path on tiny
-	// property-test instances. The fast path cannot change any output —
-	// inline and pooled execution are fix-for-fix identical by the
-	// propose/commit merge argument.
-	SeqCutoff int
 	// Deadline is the soft wall-clock budget of the run. Zero means none.
 	// Unlike a context deadline — which aborts with ErrDeadline — exceeding
 	// the soft budget degrades gracefully: the engine stops proposing new
@@ -107,101 +92,23 @@ type Options struct {
 	// and options degrade at the same point every run.
 	MaxFixes int
 	// Fault arms the deterministic fault injector (internal/fault) on the
-	// engine's hook points — applier visits, matcher probes, pool
-	// scheduling, certification tasks. Nil (the default) leaves the hooks
+	// engine's hook points — applier visits, matcher probes, eRepair
+	// seeding tasks, certification tasks. Nil (the default) leaves the hooks
 	// inert at the cost of one predictable nil-check branch. Only the
 	// robustness property suite sets it.
 	Fault *fault.Injector
 }
 
-// DefaultSeqCutoff is the inline-execution work threshold used when
-// Options.SeqCutoff is zero. At ~128 tuple visits the applier work is on the
-// order of the fan-out overhead (goroutine wakeups, the proposal slice, the
-// counter merge), so smaller worklists are faster inline on every machine.
-const DefaultSeqCutoff = 128
-
-// seqCutoff resolves Options.SeqCutoff to the effective inline threshold:
-// 0 picks the default, negative disables the fast path entirely.
-func (o Options) seqCutoff() int {
-	if o.SeqCutoff == 0 {
-		return DefaultSeqCutoff
-	}
-	return o.SeqCutoff
-}
-
-// inline reports whether a worklist with the given estimated tuple-visit
-// work should bypass the pool and run on the merge goroutine.
-func (e *Engine) inline(work int) bool {
-	if e.pool == nil || work == 0 {
-		return true
-	}
-	cut := e.opts.seqCutoff()
-	if cut < 0 {
-		return false // forced pool: the determinism suites' escape hatch
-	}
-	// A single-P process cannot overlap propose work: the pool would pay
-	// op recording, rewind and replay with zero parallelism to show for
-	// it, so every worklist runs inline regardless of size — this is what
-	// makes Workers > 1 wall-neutral on a single-core machine instead of
-	// ~25% slower on the seeding rounds.
-	if runtime.GOMAXPROCS(0) == 1 {
-		return true
-	}
-	return work < cut
-}
-
-// minPooledItemCost is the smallest estimated per-item cost, in tuple
-// visits, at which an applier worklist may go to the pool. Besides the
-// fan-out itself, the pool pays per item: a proposal slot and a recover
-// frame, and a record, rewind and replay of every write. Measured on two
-// CPUs, pooled worklists of CFD visits (one unit each) and of memoized
-// similarity-MD visits (estimated at about ten, and a memo hit only reads
-// the stored matches) never beat running them inline, from 500 to 50k
-// tuples; items that scan Dm or hold large groups are what the pool is for.
-const minPooledItemCost = 64
-
-// inlineItems is inline for an applier worklist of items work items costing
-// itemCost tuple visits each.
-func (e *Engine) inlineItems(items, itemCost int) bool {
-	if itemCost < minPooledItemCost && e.opts.seqCutoff() >= 0 {
-		return true
-	}
-	return e.inline(items * itemCost)
-}
-
-// visitCost estimates the work of one tuple visit of rule ri in units of a
-// plain tuple visit, from counts the engine already keeps. A CFD visit is
-// one unit. An MD visit adds the candidates blocking yields: the rule's
-// running average of candidates per lookup once it has probed; before that,
-// the TopL cap for a suffix tree and one for an equality bucket; and all of
-// Dm for an MD without an index. Equality and full-scan lookups verify the
-// premise on each of them. For a suffix tree it is an upper bound: only a
-// memo miss verifies them, a hit just reads the stored matches.
-func (e *Engine) visitCost(ri int) int {
-	switch x := e.matchers[ri]; {
-	case x == nil:
-		return 1
-	case x.allIDs != nil:
-		return 1 + len(x.allIDs)
-	case x.stats.Lookups > 0:
-		return 1 + x.stats.Candidates/x.stats.Lookups
-	case x.tree != nil:
-		return 1 + x.topL
-	default:
-		return 2
-	}
-}
-
-// workerCount resolves Options.Workers to the effective pool size.
+// workerCount resolves Options.Workers to the effective fan-out width:
+// GOMAXPROCS for 0, and never more than GOMAXPROCS, since tasks beyond the
+// number of Ps cannot overlap and only pay the fan-out.
 func (o Options) workerCount() int {
-	if o.Rescan {
+	procs := runtime.GOMAXPROCS(0)
+	switch {
+	case o.Rescan || o.Workers < 0:
 		return 1
-	}
-	if o.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.Workers < 1 {
-		return 1
+	case o.Workers == 0 || o.Workers > procs:
+		return procs
 	}
 	return o.Workers
 }
@@ -280,11 +187,9 @@ type Result struct {
 	// Report is the Checker's certification of Data against the rule set:
 	// the structured violations behind Resolved/Unresolved.
 	Report *Report
-	// WorkerVisits records, per pool worker, the applier tuple visits that
-	// worker proposed. Nil when the pool was off (Workers <= 1). The sum is
-	// at most TotalVisits — trivial worklists run inline on the merge
-	// goroutine — and the split across workers depends on runtime
-	// scheduling, so it is reported (uniclean -bench) but never gated.
+	// WorkerVisits is always nil: every applier visit runs on the calling
+	// goroutine, so no visit is attributed to a worker. It is kept because
+	// perfbench still reads it; the pool shares it derives come out 0.
 	WorkerVisits []int64
 	// Degraded reports that a soft budget (Options.Deadline or
 	// Options.MaxFixes) stopped the run before the pipeline's fixpoint:
@@ -349,9 +254,7 @@ type Engine struct {
 	cSeeded bool          // cRepair's first round (visit everything) has run
 	hSeeded bool          // hRepair's first round has run
 
-	ap     *applier // the canonical direct-commit applier (see parallel.go)
-	pool   *pool    // worker pool; nil when the effective worker count is 1
-	allIDs []int    // cached identity worklist for full-visit rounds
+	allIDs []int // cached identity worklist for full-visit rounds
 
 	// eRepair's entropy tree, persistent across outer passes in delta mode:
 	// later ERepair calls re-key only the groups extracted last call (eredo)
@@ -362,16 +265,15 @@ type Engine struct {
 	eSeeded bool               // eRepair's full seeding has run
 
 	// ctx carries the run's cooperative cancellation: the round loops, the
-	// eRepair resolution loop, the pool's claim loops and the certify tasks
-	// all poll it, so a cancel or deadline surfaces as a typed error within
-	// one round. Always non-nil (Background for the legacy Run/New API).
+	// eRepair resolution loop and the fan-out tasks all poll it, so a
+	// cancel or deadline surfaces as a typed error within one round.
+	// Always non-nil (Background for the legacy Run/New API).
 	ctx context.Context
 	// fail is the first failure observed — ErrCanceled, ErrDeadline, or a
 	// contained *WorkerError. Once set it poisons the engine: every phase
-	// becomes a no-op and the run returns it. The transaction argument is
-	// what makes the poisoned state safe: a failure detected inside a
-	// parallel fan-out rewinds every pending proposal before fail is set, so
-	// the clone holds exactly the committed rounds, never a prefix of one.
+	// becomes a no-op and the run returns it, never a Result. The clone may
+	// hold part of a round at that point; it is discarded with the engine,
+	// and the caller's input is untouched.
 	fail error
 	// degraded names the soft budget that stopped proposal ("deadline",
 	// "max-fixes"), or "" while the run is within budget. Unlike fail, a
@@ -419,8 +321,8 @@ func New(data, master *relation.Relation, rules []rule.Rule, opts Options) *Engi
 }
 
 // NewContext is New with a context attached: the engine polls ctx at round
-// granularity (round loops, the eRepair resolution loop, pool claim loops,
-// certify tasks) and fails with ErrCanceled/ErrDeadline once it is done.
+// granularity (round loops, the eRepair resolution loop, fan-out tasks)
+// and fails with ErrCanceled/ErrDeadline once it is done.
 func NewContext(ctx context.Context, data, master *relation.Relation, rules []rule.Rule, opts Options) *Engine {
 	return newEngine(ctx, data, master, rule.Order(rules), nil, opts)
 }
@@ -464,10 +366,6 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 		// never reads would bill the rescan baseline for delta-engine
 		// bookkeeping and flatter the measured speedup.
 		e.sched = newScheduler(e.rules, e.data)
-	}
-	e.ap = &applier{e: e, matchers: e.matchers}
-	if n := opts.workerCount(); n > 1 {
-		e.pool = newPool(e, n)
 	}
 	return e
 }
@@ -522,13 +420,13 @@ func Run(data, master *relation.Relation, rules []rule.Rule, opts Options) *Resu
 }
 
 // RunContext is Run under a context: a cancel or deadline stops the run at
-// the next cancellation point (round boundaries, pool claim loops, the
-// eRepair resolution loop, certify tasks) and returns ErrCanceled or
-// ErrDeadline. Panics anywhere in the pipeline are contained and returned as
-// a *WorkerError. On any error the caller's input relation is untouched —
-// the engine only ever writes its private clone — and no Result is returned:
-// a run either completes (possibly Degraded, see Options.Deadline/MaxFixes)
-// or fails as a unit.
+// the next cancellation point (round boundaries, the eRepair resolution
+// loop, fan-out tasks) and returns ErrCanceled or ErrDeadline. Panics
+// anywhere in the pipeline are contained and returned as a *WorkerError.
+// On any error the caller's input relation is untouched — the engine only
+// ever writes its private clone — and no Result is returned: a run either
+// completes (possibly Degraded, see Options.Deadline/MaxFixes) or fails as
+// a unit.
 func RunContext(ctx context.Context, data, master *relation.Relation, rules []rule.Rule, opts Options) (*Result, error) {
 	return NewContext(ctx, data, master, rules, opts).runAll()
 }
@@ -538,11 +436,13 @@ func RunContext(ctx context.Context, data, master *relation.Relation, rules []ru
 // fresh sub-engine per update.
 func (e *Engine) runAll() (res *Result, err error) {
 	defer func() {
-		// Containment of last resort: a panic on the merge goroutine — the
-		// sequential phase code, an inline applier, the checker driver —
+		// Containment of last resort: a panic on the calling goroutine
 		// surfaces as a structured error instead of tearing down the
-		// process. Pool workers have their own recover (see runParallel and
-		// fanOut) so a worker panic never reaches the runtime's crash path.
+		// process. The worklist drivers re-panic with their coordinates
+		// already attached (applyTuples/applyGroups), so a *WorkerError is
+		// returned as is; anything else is attributed to "run". Fan-out
+		// tasks have their own recover (fanOut), so a panic on a worker
+		// goroutine never reaches the runtime's crash path.
 		if r := recover(); r != nil {
 			if we, ok := r.(*WorkerError); ok {
 				res, err = nil, we
@@ -621,14 +521,11 @@ func (e *Engine) finish() (*Result, error) {
 		return nil, e.fail
 	}
 	e.res.Data = e.data
-	if e.pool != nil {
-		e.res.WorkerVisits = append([]int64(nil), e.pool.visits...)
-	}
 	// The checker reuses the engine's own blocking matchers (indexes are
-	// built once per run) and fans its per-rule passes across the same
-	// worker budget the appliers had; the rule-ordered report merge keeps
-	// the Report deterministic for any worker count, so -certify output is
-	// identical whatever -workers says.
+	// built once per run) and fans its per-rule passes across the run's
+	// worker budget; the rule-ordered report merge keeps the Report
+	// deterministic for any worker count, so -certify output is identical
+	// whatever -workers says.
 	ck := newChecker(e.rules, e.master, e.matchers, e.opts.workerCount())
 	ck.fj = e.fj
 	// On the streaming update path (certPrev/prevData set by rebase), rules
@@ -682,16 +579,6 @@ func (e *Engine) spend(i, a int) bool {
 	}
 	e.hleft[k] = left - 1
 	return true
-}
-
-// budgetLeft reads cell (i, a)'s remaining budget without consuming it —
-// the propose-side read, safe to run concurrently because all budget
-// writes are deferred to the commit step.
-func (e *Engine) budgetLeft(i, a int) int {
-	if left, ok := e.hleft[[2]int{i, a}]; ok {
-		return left
-	}
-	return e.hbudget()
 }
 
 // conflictf records a conflict once: an unresolvable conflict would

@@ -152,8 +152,8 @@ func (e *Engine) ERepair() {
 		// seed is about to cover. The entropy pass over the groups is
 		// embarrassingly parallel — each task reads only its own member
 		// snapshot and the live relation, which nothing writes during the
-		// fan-out — so above the sequential cutoff it runs through the
-		// pool, with per-task result slots merged afterwards. The merge is
+		// fan-out — so with more than one worker it runs through fanOut,
+		// with per-task result slots merged afterwards. The merge is
 		// order-independent (the AVL keys by (entropy, id), ETuples is a
 		// sum), so the map iteration and the fan-out schedule never show.
 		e.sched.resetE()
@@ -166,7 +166,6 @@ func (e *Engine) ERepair() {
 			distinct int
 		}
 		var tasks []seedTask
-		work := 0
 		for vi, ri := range varRules {
 			gi := e.sched.gidx[ri]
 			for kid, cg := range gi.groups { //det:ok maporder task slots are merged order-independently into the AVL by (entropy, id) key; summed counters commute
@@ -179,16 +178,15 @@ func (e *Engine) ERepair() {
 					kid:     kid,
 					members: append([]int(nil), cg.members...),
 				})
-				work += len(cg.members)
 			}
 		}
-		if e.inline(work) {
+		if workers := e.opts.workerCount(); workers == 1 {
 			for ti, t := range tasks {
 				e.fj.At(fault.SiteSeed, ti, 0)
 				rekey(t.vi, t.key, t.kid, t.members)
 			}
 		} else {
-			if err := fanOut(e.ctx, "eRepair", len(e.pool.workers), len(tasks), func(ti int) {
+			if err := fanOut(e.ctx, "eRepair", workers, len(tasks), func(ti int) {
 				t := &tasks[ti]
 				e.fj.At(fault.SiteSeed, ti, 0)
 				t.entropy, t.distinct = groupEntropy(e.data, varCFDs[t.vi].RHS, t.members)

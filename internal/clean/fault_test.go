@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/relation"
+	"repro/internal/rule"
 )
 
 // cellSnap is one cell's full state, captured for bit-exact comparison: the
@@ -34,9 +35,9 @@ func snapshot(d *relation.Relation) [][]cellSnap {
 }
 
 // faultMode is one engine configuration the fault sweep runs under: the
-// sequential default, and the forced-pool configuration that pushes every
-// nonempty worklist through the worker pool so the containment and rewind
-// machinery in runParallel/fanOut is actually on the hook.
+// sequential default, and the 4-worker configuration that puts the
+// certification and eRepair seeding fan-outs — and fanOut's containment —
+// on the hook.
 type faultMode struct {
 	name string
 	opts Options
@@ -46,27 +47,22 @@ func faultModes() []faultMode {
 	seq := DefaultOptions()
 	pool := DefaultOptions()
 	pool.Workers = 4
-	pool.SeqCutoff = -1
 	return []faultMode{{"seq", seq}, {"pool", pool}}
 }
 
 // faultConfig is one armed injector setup of the sweep.
 type faultConfig struct {
 	name  string
-	pools bool // pool-only sites: skip under the sequential mode
 	rules []fault.Rule
 }
 
 func faultConfigs() []faultConfig {
 	return []faultConfig{
-		{"panic-apply", false, []fault.Rule{{Site: fault.SiteApply, Kind: fault.Panic, Rate: 0.02}}},
-		{"panic-seed", false, []fault.Rule{{Site: fault.SiteSeed, Kind: fault.Panic, Rate: 0.05}}},
-		{"panic-certify", false, []fault.Rule{{Site: fault.SiteCertify, Kind: fault.Panic, Rate: 0.1}}},
-		{"cancel-apply", false, []fault.Rule{{Site: fault.SiteApply, Kind: fault.Cancel, Rate: 0.01}}},
-		{"delay-apply", false, []fault.Rule{{Site: fault.SiteApply, Kind: fault.Delay, Rate: 0.01}}},
-		{"panic-sched", true, []fault.Rule{{Site: fault.SiteSched, Kind: fault.Panic, Rate: 0.05}}},
-		{"cancel-sched", true, []fault.Rule{{Site: fault.SiteSched, Kind: fault.Cancel, Rate: 0.05}}},
-		{"delay-sched", true, []fault.Rule{{Site: fault.SiteSched, Kind: fault.Delay, Rate: 0.05}}},
+		{"panic-apply", []fault.Rule{{Site: fault.SiteApply, Kind: fault.Panic, Rate: 0.02}}},
+		{"panic-seed", []fault.Rule{{Site: fault.SiteSeed, Kind: fault.Panic, Rate: 0.05}}},
+		{"panic-certify", []fault.Rule{{Site: fault.SiteCertify, Kind: fault.Panic, Rate: 0.1}}},
+		{"cancel-apply", []fault.Rule{{Site: fault.SiteApply, Kind: fault.Cancel, Rate: 0.01}}},
+		{"delay-apply", []fault.Rule{{Site: fault.SiteApply, Kind: fault.Delay, Rate: 0.01}}},
 	}
 }
 
@@ -79,8 +75,8 @@ func typedFailure(err error) bool {
 
 // TestPropertyFaultInjection is the crash-consistency oracle of the
 // robustness work: over the seeded dirty instances, every injected fault —
-// panics in appliers, seeding and certification, scheduling delays,
-// injected cancellations — must leave the run in one of exactly two states:
+// panics in appliers, seeding and certification, delays, injected
+// cancellations — must leave the run in one of exactly two states:
 //
 //   - it fails with a typed error (ErrCanceled, ErrDeadline, *WorkerError)
 //     and the caller's input relation is bit-unchanged, or
@@ -88,7 +84,7 @@ func typedFailure(err error) bool {
 //     fault-free baseline (delays in particular may never change anything).
 //
 // A partially applied round, a half-torn relation, or an untyped error is a
-// property violation. The sweep runs both the sequential and the forced-pool
+// property violation. The sweep runs both the sequential and the 4-worker
 // engine; CI runs it under -race (the fault-sweep job).
 func TestPropertyFaultInjection(t *testing.T) {
 	seeds := int64(400)
@@ -105,9 +101,6 @@ func TestPropertyFaultInjection(t *testing.T) {
 				baseReport := base.Report.String()
 
 				for _, cfg := range configs {
-					if cfg.pools && mode.opts.Workers <= 1 {
-						continue
-					}
 					data := in.relation(nil)
 					before := snapshot(data)
 
@@ -173,34 +166,46 @@ func TestRunContextHardDeadline(t *testing.T) {
 }
 
 // TestWorkerErrorCoordinates pins the structured failure: a guaranteed
-// applier panic on the pool path surfaces as a *WorkerError naming the
-// phase, the rule, and the work item, and unwraps to the injected fault.
+// applier panic surfaces as a *WorkerError naming the phase, the rule and
+// the work item, and unwraps to the injected fault — with the same
+// coordinates whatever the worker count, since every worklist visit runs on
+// the calling goroutine. The corpus instance's first rule is a variable CFD
+// (applyGroups), figure1's a constant CFD (applyTuples).
 func TestWorkerErrorCoordinates(t *testing.T) {
 	in := genInstance(13)
-	opts := DefaultOptions()
-	opts.Workers = 4
-	opts.SeqCutoff = -1
-	opts.Fault = fault.New(13, fault.Rule{Site: fault.SiteApply, Kind: fault.Panic, Rate: 1})
-	_, err := RunContext(context.Background(), in.relation(nil), nil, in.rules, opts)
-	var we *WorkerError
-	if !errors.As(err, &we) {
-		t.Fatalf("err = %v, want *WorkerError", err)
+	data, master, rules := figure1(t)
+	inputs := []struct {
+		name         string
+		data, master *relation.Relation
+		rules        []rule.Rule
+	}{
+		{"corpus", in.relation(nil), nil, in.rules},
+		{"figure1", data, master, rules},
 	}
-	// The propagated failure names the phase, the rule and a worklist item.
-	// Which items record failures before the abort flag drains the pool is
-	// scheduling-dependent (the lowest-index choice is deterministic over
-	// the recorded set, not over the schedule), so the item is asserted
-	// present, not pinned to 0.
-	if we.Phase != "cRepair" || we.Rule == "" || we.Item < 0 {
-		t.Fatalf("WorkerError coordinates = phase %q rule %q item %d, want cRepair/<rule>/>=0",
-			we.Phase, we.Rule, we.Item)
-	}
-	var inj *fault.Injected
-	if !errors.As(err, &inj) {
-		t.Fatalf("WorkerError does not unwrap to the injected fault: %v", err)
-	}
-	if len(we.Stack) == 0 {
-		t.Fatal("WorkerError carries no stack trace")
+	for _, workers := range []int{1, 4} {
+		for _, x := range inputs {
+			opts := DefaultOptions()
+			opts.Workers = workers
+			opts.Fault = fault.New(13, fault.Rule{Site: fault.SiteApply, Kind: fault.Panic, Rate: 1})
+			_, err := RunContext(context.Background(), x.data, x.master, x.rules, opts)
+			var we *WorkerError
+			if !errors.As(err, &we) {
+				t.Fatalf("%s, %d workers: err = %v, want *WorkerError", x.name, workers, err)
+			}
+			// Rate 1 fires on the first visit of the first rule's worklist.
+			first := rule.Order(x.rules)[0].Name()
+			if we.Phase != "cRepair" || we.Rule != first || we.Item != 0 || we.Shard != -1 {
+				t.Fatalf("%s, %d workers: WorkerError coordinates = phase %q rule %q item %d shard %d, want cRepair/%s/0/-1",
+					x.name, workers, we.Phase, we.Rule, we.Item, we.Shard, first)
+			}
+			var inj *fault.Injected
+			if !errors.As(err, &inj) {
+				t.Fatalf("%s, %d workers: WorkerError does not unwrap to the injected fault: %v", x.name, workers, err)
+			}
+			if len(we.Stack) == 0 {
+				t.Fatalf("%s, %d workers: WorkerError carries no stack trace", x.name, workers)
+			}
+		}
 	}
 }
 
@@ -289,9 +294,6 @@ func TestFaultSweepFires(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		in := genInstance(seed)
 		for _, cfg := range faultConfigs() {
-			if cfg.pools {
-				continue
-			}
 			inj := fault.New(seed, cfg.rules...)
 			ctx, cancel := context.WithCancel(context.Background())
 			inj.OnCancel(cancel)

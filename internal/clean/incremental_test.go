@@ -70,12 +70,11 @@ func diffResults(inc, ref *Result) string {
 	return ""
 }
 
-// diffParallel compares a parallel-pool result against the sequential
+// diffParallel compares a multi-worker result against the sequential
 // incremental result. The bar is stricter than diffResults: the parallel
 // engine runs the same scheduler over the same worklists, so even the work
 // counters — per-rule applier visits, per-MD matcher statistics — must be
-// identical, not just the fixes. (WorkerVisits is exempt: how the visits
-// split across workers depends on runtime scheduling.)
+// identical, not just the fixes.
 func diffParallel(par, seq *Result) string {
 	if d := diffResults(par, seq); d != "" {
 		return d
@@ -105,22 +104,18 @@ func statsDump(m map[string]*ApplyStats) string {
 }
 
 // TestPropertyIncrementalEquivalence is the correctness bar of the
-// delta-driven scheduler and of the parallel applier layer on top of it:
+// delta-driven scheduler and of the fan-outs on top of it:
 // over the seeded dirty corpus, the sequential incremental engine must
 // produce fix-for-fix identical results to the full-rescan reference —
 // same Fixes in the same order, same Asserts, Conflicts, group
 // resolutions, round counts, certified Report, and final cell state — and
 // the parallel engine (four workers) must match the sequential incremental
-// engine down to the work counters. Run it under -race: the propose step
-// is the engine's only concurrency.
+// engine down to the work counters. Run it under -race: the certification
+// and eRepair seeding fan-outs are the engine's only concurrency.
 func TestPropertyIncrementalEquivalence(t *testing.T) {
 	const seeds = 400
 	opts := DefaultOptions()
 	opts.Workers = 4
-	// Negative SeqCutoff forces the corpus — tiny by construction — through
-	// the pool; with the default cutoff the fast path would run everything
-	// inline and the sweep would prove nothing about the parallel layer.
-	opts.SeqCutoff = -1
 	for seed := int64(0); seed < seeds; seed++ {
 		in := genInstance(seed)
 		inc, ref := runModes(in.relation(nil), nil, in.rules, DefaultOptions())
@@ -150,7 +145,6 @@ func TestIncrementalEquivalenceWithMaster(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Workers = 4
-	opts.SeqCutoff = -1 // figure1 is tiny: bypass the inline fast path
 	data, master, rules = figure1(t)
 	par := Run(data, master, rules, opts)
 	if d := diffParallel(par, inc); d != "" {

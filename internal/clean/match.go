@@ -45,7 +45,7 @@ type matcher struct {
 
 	// keyBuf backs the equality-index key, probed as string(keyBuf), which
 	// allocates nothing, and builds a multi-clause premise's memo key. It is
-	// private per matcher; pool workers probe through forks.
+	// private per matcher; certification tasks probe through forks.
 	keyBuf []byte
 
 	stats MatchStats
@@ -56,9 +56,9 @@ type matcher struct {
 // TopL-blocked strings in rank order (repair), cert from the ascending exact
 // superset (certification). MatchLHS reads only the premise cells of the
 // data tuple, and the tree and master are immutable, so an entry is a pure
-// function of its key, and every fork of the matcher — pool workers,
-// certification tasks, stream sub-runs — shares the memo and reads equal
-// entries whichever fork filled them. Returned lists must not be modified.
+// function of its key, and every fork of the matcher — certification
+// tasks, stream sub-runs — shares the memo and reads equal entries
+// whichever fork filled them. Returned lists must not be modified.
 type simMemo struct {
 	mu          sync.Mutex
 	block, cert map[string]simEntry
@@ -95,8 +95,8 @@ func (x *matcher) memoized(tab map[string]simEntry, t *relation.Tuple, blocked f
 // fork returns a matcher sharing x's immutable blocking indexes — the
 // equality buckets, the suffix tree, its id lists and its memo, the
 // fallback identity list — with private lookup scratch and statistics, so
-// pool workers can probe concurrently. Fork statistics are merged back into
-// x.stats by order-independent sums after each parallel phase.
+// certification tasks can probe concurrently and a stream sub-run starts
+// from zeroed counters.
 func (x *matcher) fork() *matcher {
 	f := *x
 	f.keyBuf = nil

@@ -11,29 +11,20 @@ import (
 )
 
 // TestParallelWorkerSweep pins the worker-count independence of the
-// parallel applier layer: every worker count — including 1, which must
-// take the inline sequential path (no pool is built) — produces results
-// identical to the sequential incremental engine, down to the work
+// fan-outs (certification, eRepair seeding): every worker count produces
+// results identical to the sequential incremental engine, down to the work
 // counters, on both the randomized corpus and the MD-heavy figure1
 // workload.
 func TestParallelWorkerSweep(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		// Force every nonempty worklist through the pool: the corpus
-		// instances are a handful of tuples, far under DefaultSeqCutoff,
-		// and the sweep must exercise the parallel path, not the inline
-		// fast path.
-		opts.SeqCutoff = -1
 		for seed := int64(0); seed < 25; seed++ {
 			in := genInstance(seed)
 			seq := Run(in.relation(nil), nil, in.rules, DefaultOptions())
 			par := Run(in.relation(nil), nil, in.rules, opts)
 			if d := diffParallel(par, seq); d != "" {
 				t.Fatalf("seed %d, %d workers: %s", seed, workers, d)
-			}
-			if workers == 1 && par.WorkerVisits != nil {
-				t.Fatalf("1 worker must not build a pool, got WorkerVisits %v", par.WorkerVisits)
 			}
 		}
 		data, master, rules := figure1(t)
@@ -47,14 +38,13 @@ func TestParallelWorkerSweep(t *testing.T) {
 }
 
 // TestParallelDeterminism runs the parallel engine repeatedly on the same
-// instances: the goroutine interleavings of the propose step and the map
+// instances: the goroutine interleavings of the fan-outs and the map
 // iteration order underneath the appliers vary run to run, and none of it
-// may show in the result — the commit merge and the total-order tie-breaks
-// are the only places ordering can come from.
+// may show in the result — the task-ordered merges and the total-order
+// tie-breaks are the only places ordering can come from.
 func TestParallelDeterminism(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 4
-	opts.SeqCutoff = -1
 	for seed := int64(0); seed < 20; seed++ {
 		in := genInstance(seed)
 		first := Run(in.relation(nil), nil, in.rules, opts)
@@ -75,38 +65,10 @@ func TestParallelRescanStaysSequential(t *testing.T) {
 	opts.Rescan, opts.Workers = true, 8
 	in := genInstance(7)
 	res := Run(in.relation(nil), nil, in.rules, opts)
-	if res.WorkerVisits != nil {
-		t.Fatalf("rescan engine built a worker pool: WorkerVisits %v", res.WorkerVisits)
-	}
 	opts.Workers = 1
 	ref := Run(in.relation(nil), nil, in.rules, opts)
 	if d := diffParallel(res, ref); d != "" {
 		t.Fatalf("rescan result depends on Workers: %s", d)
-	}
-}
-
-// TestParallelWorkerVisitsReported pins the -bench reporting contract of
-// the per-worker counters: with the pool on, WorkerVisits has one slot per
-// worker and the slots sum to at most the total visits (trivial worklists
-// run inline on the merge goroutine and are attributed to no worker).
-func TestParallelWorkerVisitsReported(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 3
-	opts.SeqCutoff = -1 // figure1 is tiny: bypass the inline fast path
-	data, master, rules := figure1(t)
-	res := Run(data, master, rules, opts)
-	if len(res.WorkerVisits) != 3 {
-		t.Fatalf("WorkerVisits = %v, want one slot per worker", res.WorkerVisits)
-	}
-	var sum int64
-	for _, v := range res.WorkerVisits {
-		sum += v
-	}
-	if sum <= 0 {
-		t.Errorf("no visits attributed to any worker: %v", res.WorkerVisits)
-	}
-	if total := int64(res.TotalVisits()); sum > total {
-		t.Errorf("worker visits %d exceed total visits %d", sum, total)
 	}
 }
 
@@ -115,15 +77,14 @@ func TestParallelWorkerVisitsReported(t *testing.T) {
 // order of its comparison chain (confidence sum, count, master support,
 // lexicographic) keeps the choice deterministic. Both tie levels — master
 // support and lexicographic — are exercised many times in one process,
-// where Go randomizes map iteration order per loop, and in parallel mode,
-// where worker scheduling varies too. The workload is the hrepairInput one:
+// where Go randomizes map iteration order per loop, and with 4 workers,
+// where the fan-out schedule varies too. The workload is the hrepairInput one:
 // the k1/k2 conflict only materializes inside the HRepair fixpoint, after
 // eRepair (which has its own tie-break, pinned separately) has finished.
 func TestHTargetTieBreakDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		opts.SeqCutoff = -1
 		for rep := 0; rep < 30; rep++ {
 			// Master-support tie-break: k1 and k2 tie on confidence and
 			// count; the master value reachable through the MD blocking
@@ -166,8 +127,8 @@ func TestResolveGroupTieBreakDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelOuterFixpoint reruns the outer-fixpoint regression with the
-// pool on: a possible fix whose derived confidence reaches eta enables a
+// TestParallelOuterFixpoint reruns the outer-fixpoint regression with 4
+// workers: a possible fix whose derived confidence reaches eta enables a
 // deterministic rule on a later pass, and the parallel engine must follow
 // the same pass structure (the budget and freeze state span passes).
 func TestParallelOuterFixpoint(t *testing.T) {
@@ -190,105 +151,24 @@ func TestParallelOuterFixpoint(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Workers = 4
-	opts.SeqCutoff = -1
 	seq := Run(mk(), nil, rules, DefaultOptions())
 	par := Run(mk(), nil, rules, opts)
 	if d := diffParallel(par, seq); d != "" {
-		t.Fatalf("outer fixpoint diverges under the pool: %s", d)
+		t.Fatalf("outer fixpoint diverges with 4 workers: %s", d)
 	}
 	if len(par.Unresolved) != 0 {
 		t.Fatalf("pipeline left rules unresolved: %v", fmt.Sprint(par.Unresolved))
 	}
 }
 
-// TestShardQueueStealSemantics pins the work-stealing queue invariants the
-// determinism argument leans on: claim and steal partition the index range
-// (every index handed out exactly once), a thief's deposit leaves the
-// remainder stealable, and the total never grows — which is what makes the
-// all-queues-empty exit of stealInto sound.
-func TestShardQueueStealSemantics(t *testing.T) {
-	var q shardQueue
-	q.put(0, 100)
-	seen := make([]bool, 100)
-	take := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if seen[i] {
-				t.Fatalf("index %d handed out twice", i)
-			}
-			seen[i] = true
-		}
-	}
-	lo, hi, ok := q.claim(8)
-	if !ok || lo != 0 || hi != 8 {
-		t.Fatalf("claim(8) = [%d, %d) %v, want [0, 8) true", lo, hi, ok)
-	}
-	take(lo, hi)
-	lo, hi, ok = q.steal()
-	if !ok || lo != 54 || hi != 100 {
-		t.Fatalf("steal() = [%d, %d) %v, want the back half [54, 100) true", lo, hi, ok)
-	}
-	var thief, second shardQueue
-	thief.put(lo, hi)
-	lo2, hi2, ok := thief.steal()
-	if !ok {
-		t.Fatal("deposited range is not stealable")
-	}
-	second.put(lo2, hi2)
-	for _, queue := range []*shardQueue{&q, &thief, &second} {
-		for {
-			lo, hi, ok := queue.claim(3)
-			if !ok {
-				break
-			}
-			take(lo, hi)
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d never handed out", i)
-		}
-	}
-	if _, _, ok := q.steal(); ok {
-		t.Fatal("empty queue still steals")
-	}
-}
-
-// TestSequentialFastPath pins satellite behavior of the inline cutoff: on a
-// workload whose every worklist is under DefaultSeqCutoff, a Workers: 4 run
-// builds the pool but routes everything inline — no visits are attributed
-// to any worker — and the result is still fix-for-fix identical to the
-// sequential run, because inline and pooled execution share the applier
-// code and the fast path only skips the fan-out.
-func TestSequentialFastPath(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 4
-	for seed := int64(0); seed < 10; seed++ {
-		in := genInstance(seed)
-		seq := Run(in.relation(nil), nil, in.rules, DefaultOptions())
-		par := Run(in.relation(nil), nil, in.rules, opts)
-		if d := diffParallel(par, seq); d != "" {
-			t.Fatalf("seed %d: fast path changed the result: %s", seed, d)
-		}
-		if len(par.WorkerVisits) != 4 {
-			t.Fatalf("seed %d: pool not built: WorkerVisits %v", seed, par.WorkerVisits)
-		}
-		for w, v := range par.WorkerVisits {
-			if v != 0 {
-				t.Fatalf("seed %d: worklists under the cutoff reached worker %d (%d visits)", seed, w, v)
-			}
-		}
-	}
-}
-
-// TestParallelStealHeavySweep is the adversarial determinism sweep for the
-// work-stealing queues: gen's HotZipRate knob packs more than a third of
-// the tuples into one zip, so the variable CFDs carry one giant LHS-equal
-// group next to hundreds of tiny ones — the shape where the old chunk
-// cursor stranded whole chunks behind the giant group and where stealing
-// traffic is now maximal. Every worker count must still produce results
-// byte-identical to the sequential engine, including the certified Report
-// and all work counters; run under -race this also audits the queue
-// transfer protocol itself.
+// TestParallelStealHeavySweep is the adversarial determinism sweep on a
+// skewed workload: gen's HotZipRate knob packs more than a third of the
+// tuples into one zip, so the variable CFDs carry one giant LHS-equal group
+// next to hundreds of tiny ones, and the eRepair seeding fan-out gets one
+// task far bigger than the rest. Every worker count must still produce
+// results byte-identical to the sequential engine, including the certified
+// Report and all work counters; run under -race this also audits the
+// fan-outs' task slots.
 func TestParallelStealHeavySweep(t *testing.T) {
 	inst := gen.Generate(gen.Config{
 		Tuples: 2000, MasterSize: 200, ErrorRate: 0.05,
@@ -311,7 +191,6 @@ func TestParallelStealHeavySweep(t *testing.T) {
 	for _, workers := range []int{2, 3, 4, 8} {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		opts.SeqCutoff = -1
 		par := Run(inst.Data, inst.Master, inst.Rules, opts)
 		if d := diffParallel(par, seq); d != "" {
 			t.Fatalf("%d workers on the steal-heavy workload: %s", workers, d)
@@ -320,22 +199,18 @@ func TestParallelStealHeavySweep(t *testing.T) {
 }
 
 // benchmarkTinyRounds measures the whole pipeline on a tiny instance, the
-// regime where fan-out overhead used to dominate. The pinned comparison is
-// Workers4 against Workers1: with the sequential fast path every worklist
-// runs inline, so the two must be within noise of each other, while
-// Workers4Forced (cutoff disabled) shows what the pool costs when it is
-// forced onto work this small.
-func benchmarkTinyRounds(b *testing.B, workers, cutoff int) {
+// regime where fan-out overhead dominates. The pinned comparison is
+// Workers4 against Workers1: only certification and eRepair seeding fan
+// out, so the two show what those fan-outs cost on work this small.
+func benchmarkTinyRounds(b *testing.B, workers int) {
 	in := genInstance(3)
 	opts := DefaultOptions()
 	opts.Workers = workers
-	opts.SeqCutoff = cutoff
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Run(in.relation(nil), nil, in.rules, opts)
 	}
 }
 
-func BenchmarkTinyRoundsWorkers1(b *testing.B)       { benchmarkTinyRounds(b, 1, 0) }
-func BenchmarkTinyRoundsWorkers4(b *testing.B)       { benchmarkTinyRounds(b, 4, 0) }
-func BenchmarkTinyRoundsWorkers4Forced(b *testing.B) { benchmarkTinyRounds(b, 4, -1) }
+func BenchmarkTinyRoundsWorkers1(b *testing.B) { benchmarkTinyRounds(b, 1) }
+func BenchmarkTinyRoundsWorkers4(b *testing.B) { benchmarkTinyRounds(b, 4) }

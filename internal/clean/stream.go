@@ -243,8 +243,6 @@ func (e *Engine) adopt(s *Engine) {
 	e.seen = s.seen
 	e.hleft = s.hleft
 	e.sched = s.sched
-	e.ap = s.ap
-	e.pool = s.pool
 	e.allIDs = s.allIDs
 	e.cSeeded, e.eSeeded, e.hSeeded = s.cSeeded, s.eSeeded, s.hSeeded
 	e.etree, e.egroups, e.eredo = s.etree, s.egroups, s.eredo

@@ -186,7 +186,7 @@ func shrinkOps(in streamCase, ops []gen.Update, opts Options) []gen.Update {
 // must keep the engine fix-for-fix and byte-for-byte identical to a
 // from-scratch RunContext on the accumulated base instance — cell state,
 // Fixes, conflicts, rounds, work counters, and the incrementally patched
-// Report included — under both the sequential and the forced-pool engine.
+// Report included — under both the sequential and the 4-worker engine.
 // CI runs it under -race (the stream-sweep job). The suite also asserts
 // the certification cache fired at least once across the corpus: a
 // Report.Patched that stayed zero would mean the incremental path is dead
@@ -273,7 +273,7 @@ func genSimOps(in *simInstance, seed int64) []gen.Update {
 // TestPropertyStreamEquivalenceSimMD replays update streams over the sim-MD
 // corpus, where stream sub-runs share the similarity matcher's per-value
 // memo through the prototype matchers: every accepted update must stay on
-// the from-scratch oracle, sequentially and through a forced 4-worker pool.
+// the from-scratch oracle, sequentially and with 4 workers.
 func TestPropertyStreamEquivalenceSimMD(t *testing.T) {
 	seeds := int64(400)
 	if testing.Short() {
@@ -283,7 +283,6 @@ func TestPropertyStreamEquivalenceSimMD(t *testing.T) {
 	seq.Workers = 1
 	pool := DefaultOptions()
 	pool.Workers = 4
-	pool.SeqCutoff = -1
 	patched := 0
 	for _, mode := range []faultMode{{"seq", seq}, {"pool", pool}} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -301,12 +300,12 @@ func TestPropertyStreamEquivalenceSimMD(t *testing.T) {
 
 // TestPropertyStreamFaultInjection composes the streaming layer with the
 // fault injector: with panics, cancellations and delays armed at the
-// apply/seed/sched/certify hooks, every update must either fail with a
+// apply/seed/certify hooks, every update must either fail with a
 // typed error and leave the engine bit-unchanged — base, cleaned state and
 // Report exactly as the last accepted update left them — or complete and
 // stay on the oracle. After the whole sequence, the engine must be
 // byte-identical to a fault-free from-scratch run on the accepted base:
-// degraded or rewound, never divergent.
+// degraded or left as it was, never divergent.
 func TestPropertyStreamFaultInjection(t *testing.T) {
 	seeds := int64(150)
 	if testing.Short() {
@@ -319,9 +318,6 @@ func TestPropertyStreamFaultInjection(t *testing.T) {
 				in := genInstance(seed)
 				ops := genOps(len(in.rows), seed)
 				for _, cfg := range configs {
-					if cfg.pools && mode.opts.Workers <= 1 {
-						continue
-					}
 					opts := mode.opts
 					inj := fault.New(seed, cfg.rules...)
 					opts.Fault = inj
@@ -566,14 +562,13 @@ func TestStreamCapRetruncation(t *testing.T) {
 }
 
 // TestStreamWithMaster runs the streaming layer over the paper's Figure 1
-// workload — MD rules, blocking indexes, master data — under the pooled
-// engine: upserts and a delete must stay on the from-scratch oracle, with
+// workload — MD rules, blocking indexes, master data — with 4 workers:
+// upserts and a delete must stay on the from-scratch oracle, with
 // the forked prototype indexes reproducing a cold build's match counters.
 func TestStreamWithMaster(t *testing.T) {
 	data, master, rules := figure1(t)
 	opts := DefaultOptions()
 	opts.Workers = 4
-	opts.SeqCutoff = -1
 	e, err := NewStream(data.Clone(), master, rules, opts)
 	if err != nil {
 		t.Fatalf("NewStream: %v", err)

@@ -68,7 +68,7 @@ func TestNilInjectorInert(t *testing.T) {
 // TestCancelFiresOnce: concurrent Cancel faults invoke the registered
 // function exactly once.
 func TestCancelFiresOnce(t *testing.T) {
-	in := New(1, Rule{Site: SiteSched, Kind: Cancel, Rate: 1})
+	in := New(1, Rule{Site: SiteSeed, Kind: Cancel, Rate: 1})
 	var mu sync.Mutex
 	calls := 0
 	in.OnCancel(func() { mu.Lock(); calls++; mu.Unlock() })
@@ -78,7 +78,7 @@ func TestCancelFiresOnce(t *testing.T) {
 		go func(w int) { //det:ok poolonly test exercises the injector's own once-only cancel under contention; no engine state involved
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				in.At(SiteSched, w, i)
+				in.At(SiteSeed, w, i)
 			}
 		}(w)
 	}

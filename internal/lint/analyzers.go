@@ -2,9 +2,7 @@ package lint
 
 // All returns the analyzer suite in reporting order: every determinism,
 // concurrency and robustness invariant the engine's guarantees rest on, as a
-// checked property. SinkWrite is the alias-aware v2; the lexical v1
-// (SinkWriteLexical) is kept only as the regression baseline for the
-// laundering fixture. DetOkStale is a pseudo-analyzer: its findings are
+// checked property. DetOkStale is a pseudo-analyzer: its findings are
 // computed by RunAll from the suppression table after the suite has run.
 func All() []*Analyzer {
 	return []*Analyzer{

@@ -12,19 +12,19 @@ import (
 // are candidates:
 //
 //   - unbounded loops — `for {` and `for cond {` (no init, no post): the
-//     fixpoint loops of the repair phases and the pool claim loops;
+//     fixpoint loops of the repair phases and the fan-out task loops;
 //   - rule worklist loops — `for ... := range rules` over a []Rule — when
-//     the body drives pool work (calls one of the pool entry points,
+//     the body drives worklist work (calls one of worklistDrivers,
 //     directly or transitively): one rule application can visit every
 //     tuple, so a cancellation must be observable between rules.
 //
 // A loop passes when its condition or body reaches a check: a call to
 // interrupted()/exhausted(), ctx.Err() on a context.Context, Load() on a
 // sync/atomic abort flag — or a call to a same-package function that
-// transitively contains one (fanOut and runParallel check per claimed item,
-// so a loop driving them observes cancellation through them). Rule-range
-// loops that only do bounded setup or merge bookkeeping (no pool work) are
-// out of scope. Test files are exempt: tests may busy-wait on purpose.
+// transitively contains one (fanOut checks per task, so a loop driving it
+// observes cancellation through it). Rule-range loops that only do bounded
+// setup or merge bookkeeping (no worklist work) are out of scope. Test
+// files are exempt: tests may busy-wait on purpose.
 var CtxFlow = &Analyzer{
 	Name:      "ctxflow",
 	Doc:       "pipeline loop that never reaches a cancellation check",
@@ -40,8 +40,18 @@ var ctxCheckNames = map[string]bool{
 	"exhausted":   true,
 }
 
+// worklistDrivers are the functions that run a whole worklist or task list:
+// the cRepair/hRepair drivers, which visit one rule's worklist on the
+// calling goroutine, and fanOut. A rule loop calling one must reach a
+// cancellation check per rule.
+var worklistDrivers = map[string]bool{
+	"fanOut":      true,
+	"applyTuples": true,
+	"applyGroups": true,
+}
+
 // ctxFacts holds the package-level call-graph closure: which functions
-// contain a cancellation check and which drive pool work.
+// contain a cancellation check and which drive worklist work.
 type ctxFacts struct {
 	p        *Pass
 	decls    map[*types.Func]*ast.FuncDecl
@@ -74,7 +84,7 @@ func runCtxFlow(p *Pass) {
 					return true
 				}
 				p.Reportf(loop.Pos(),
-					"rule worklist loop drives pool work but reaches no cancellation check (interrupted/exhausted/ctx.Err/abort flag) per iteration; check e.interrupted() between rules or annotate //det:ok ctxflow <reason>")
+					"rule worklist loop drives worklist work but reaches no cancellation check (interrupted/exhausted/ctx.Err/abort flag) per iteration; check e.interrupted() between rules or annotate //det:ok ctxflow <reason>")
 			}
 			return true
 		})
@@ -82,7 +92,8 @@ func runCtxFlow(p *Pass) {
 }
 
 // buildCtxFacts computes, to a fixpoint over the same-package call graph,
-// which functions contain a cancellation check and which drive pool work.
+// which functions contain a cancellation check and which drive worklist
+// work.
 func buildCtxFacts(p *Pass) *ctxFacts {
 	facts := &ctxFacts{
 		p:        p,
@@ -113,7 +124,7 @@ func buildCtxFacts(p *Pass) *ctxFacts {
 				if directCheck(p, call) {
 					facts.checking[fn] = true
 				}
-				if workerScopeCalls[calleeName(call)] {
+				if worklistDrivers[calleeName(call)] {
 					facts.working[fn] = true
 				}
 				if callee := calleeFunc(p, call); callee != nil {
@@ -169,7 +180,7 @@ func (facts *ctxFacts) reachesCheck(n ast.Node) bool {
 	return found
 }
 
-// drivesWork reports whether the loop body calls a pool entry point,
+// drivesWork reports whether the loop body calls a worklist driver,
 // directly or through a same-package function.
 func (facts *ctxFacts) drivesWork(body *ast.BlockStmt) bool {
 	found := false
@@ -181,7 +192,7 @@ func (facts *ctxFacts) drivesWork(body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		if workerScopeCalls[calleeName(call)] {
+		if worklistDrivers[calleeName(call)] {
 			found = true
 			return false
 		}

@@ -1,7 +1,7 @@
 // Light intraprocedural dataflow over go/types: local def-use and alias
-// tracking for the v2 analyzers. The model is deliberately small — no SSA,
-// no x/tools — and errs on the conservative side everywhere a suppression
-// with a written reason can pick up the slack:
+// tracking for the alias-aware analyzers. The model is deliberately small
+// — no SSA, no x/tools — and errs on the conservative side everywhere a
+// suppression with a written reason can pick up the slack:
 //
 //   - funcScope computes, per top-level function, the function literals
 //     bound to local identifiers and a flow-insensitive taint set of the
@@ -9,15 +9,15 @@
 //     tainted anywhere in the function is tainted everywhere in it; taint is
 //     a fixpoint, so local-to-local copies propagate.
 //   - workerBodies extends the lexical worker-scope discovery with two
-//     dataflow facts: a literal bound to a local and later handed to a pool
-//     entry point is worker-scoped, and a literal invoked from a
+//     dataflow facts: a literal bound to a local and later handed to fanOut
+//     is worker-scoped, and a literal invoked from a
 //     worker-scoped body runs on the worker too.
 //
-// Taint deliberately stops at three sanctioned boundaries: call results
-// (the applier sink routes — ap.stat(ri) — return shared pointers on
-// purpose), owned tuple bindings (t := ap.e.data.Tuples[i] is how item
-// ownership is made visible), and non-reference values (a copied struct or
-// scalar cannot mutate the structure it was read from).
+// Taint deliberately stops at three boundaries: call results (the model is
+// intraprocedural and does not follow what a callee returns), owned tuple
+// bindings (t := e.data.Tuples[i] is how cell ownership is made visible),
+// and non-reference values (a copied struct or scalar cannot mutate the
+// structure it was read from).
 package lint
 
 import (
@@ -118,9 +118,10 @@ func (sc *funcScope) bindFrom(p *Pass, lhs ast.Expr, src string, typed ast.Expr)
 }
 
 // aliasSource returns the name of the shared type an expression aliases, or
-// "" when it does not alias shared state. The walk mirrors sharedBase but
-// additionally resolves a base identifier through the taint set, and it
-// applies the two sanctioned cuts: call results and owned tuple bindings.
+// "" when it does not alias shared state. The walk follows the
+// selector/index chain like sharedWriteBase, additionally resolves a base
+// identifier through the taint set, and applies the two cuts: call results
+// and owned tuple bindings.
 func aliasSource(p *Pass, taint map[types.Object]string, e ast.Expr) string {
 	if ownedType(p.TypeOf(e)) {
 		return ""
@@ -148,7 +149,7 @@ func aliasSource(p *Pass, taint map[types.Object]string, e ast.Expr) string {
 			}
 			return ""
 		default:
-			// Call results, literals, conversions: sanctioned or harmless.
+			// Call results, literals, conversions: untracked or harmless.
 			return ""
 		}
 		if name := sharedTypeName(p, p.TypeOf(e)); name != "" {
@@ -160,7 +161,7 @@ func aliasSource(p *Pass, taint map[types.Object]string, e ast.Expr) string {
 // sharedWriteBase walks the chain of an assignment target and returns the
 // shared-type name the chain passes through, with viaAlias set when the
 // chain reaches shared state only through a tainted local — the laundering
-// case the lexical v1 check cannot see. A bare identifier target is never a
+// case a purely lexical check cannot see. A bare identifier target is never a
 // shared write: rebinding a local mutates nothing.
 func sharedWriteBase(p *Pass, taint map[types.Object]string, e ast.Expr) (name string, viaAlias bool) {
 	for {
@@ -189,9 +190,9 @@ func sharedWriteBase(p *Pass, taint map[types.Object]string, e ast.Expr) (name s
 }
 
 // workerBodies collects the worker-scoped bodies lexically reachable from
-// root — `go` statement literals and literal arguments to the pool entry
-// points, as in v1 — plus the two dataflow extensions: local identifiers
-// bound to a literal and passed to a pool entry point, and literals invoked
+// root — `go` statement literals and literal arguments to fanOut — plus the
+// two dataflow extensions: local identifiers bound to a literal and passed
+// to fanOut, and literals invoked
 // (directly or transitively) from an already worker-scoped body.
 func workerBodies(p *Pass, root ast.Node, lits map[types.Object]*ast.FuncLit) []*ast.BlockStmt {
 	seen := make(map[*ast.BlockStmt]bool)

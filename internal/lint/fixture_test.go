@@ -138,25 +138,9 @@ func TestPanicFreeFixture(t *testing.T)   { runFixture(t, PanicFree, "panicfree"
 func TestCtxFlowFixture(t *testing.T)     { runFixture(t, CtxFlow, "ctxflow") }
 func TestErrContractFixture(t *testing.T) { runFixture(t, ErrContract, "errcontract") }
 
-// The v1 fixture under v1: the lexical analyzer still earns its keep as the
-// regression baseline, and v2 (TestSinkWriteFixture above) reproduces every
-// one of its findings on the same fixture — the upgrade lost nothing.
-func TestSinkWriteLexicalFixture(t *testing.T) { runFixture(t, SinkWriteLexical, "sinkwrite") }
-
-// The laundering fixture under v2: the alias-aware analyzer catches the
-// exact escape docs/determinism.md used to admit to missing.
+// The laundering fixture: the alias-aware check catches writes through
+// locals that alias shared state.
 func TestSinkWriteV2Fixture(t *testing.T) { runFixture(t, SinkWrite, "sinkwritev2") }
-
-// TestSinkWriteV1MissesLaundering pins the closed gap from the other side:
-// the lexical v1 analyzer reports NOTHING on the laundering fixture. If v1
-// ever starts seeing these, the fixture no longer demonstrates the gap and
-// the v1/v2 split has lost its meaning.
-func TestSinkWriteV1MissesLaundering(t *testing.T) {
-	pkg := loadFixture(t, "sinkwritev2")
-	for _, f := range Run(SinkWriteLexical, pkg) {
-		t.Errorf("lexical v1 unexpectedly caught a laundered write: %s", f)
-	}
-}
 
 // TestDetOkStale runs the full driver over the stale-suppression fixture:
 // the used annotation and the excused one produce nothing, the dead one is
@@ -258,8 +242,6 @@ func TestAppliesToFilter(t *testing.T) {
 		{CtxFlow, "repro/internal/rule", false},
 		{ErrContract, "repro/internal/clean", true},
 		{ErrContract, "repro/internal/relation", false},
-		{SinkWriteLexical, "repro/internal/clean", true},
-		{SinkWriteLexical, "repro/internal/md", false},
 	}
 	for _, c := range cases {
 		if got := c.a.AppliesTo(c.path); got != c.want {

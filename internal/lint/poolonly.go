@@ -5,22 +5,20 @@ import (
 	"path/filepath"
 )
 
-// poolFile is the one file allowed to spawn goroutines: the bounded worker
-// pool with its propose/commit merge (runParallel) and the read-only
-// fan-out (fanOut) live there, and everything concurrent in the engine is
-// required to go through them.
+// poolFile is the one file allowed to spawn goroutines: fanOut lives there,
+// and everything concurrent in the engine is required to go through it.
 const poolFile = "parallel.go"
 
 // PoolOnly flags `go` statements outside parallel.go. The engine's whole
-// determinism argument rests on concurrency being funneled through the
-// bounded pool: workers write only item-owned cells, record everything else
-// as ops, and a single deterministic merge replays them — an ad-hoc
-// goroutine bypasses the propose/commit sink and reintroduces scheduling
-// order into the output. New concurrency either goes through
-// runParallel/fanOut or justifies itself: //det:ok poolonly <reason>.
+// determinism argument rests on concurrency being funneled through fanOut:
+// its tasks write only their own task-indexed result slots, and the caller
+// merges the slots in task order afterwards — an ad-hoc goroutine bypasses
+// that and reintroduces scheduling order into the output. New concurrency
+// either goes through fanOut or justifies itself: //det:ok poolonly
+// <reason>.
 var PoolOnly = &Analyzer{
 	Name: "poolonly",
-	Doc:  "goroutine spawned outside the bounded pool (parallel.go)",
+	Doc:  "goroutine spawned outside fanOut (parallel.go)",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
 			if filepath.Base(p.Fset.Position(f.Pos()).Filename) == poolFile {
@@ -29,7 +27,7 @@ var PoolOnly = &Analyzer{
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
 					p.Reportf(g.Go,
-						"go statement outside %s bypasses the bounded pool's propose/commit merge; use runParallel/fanOut or annotate //det:ok poolonly <reason>",
+						"go statement outside %s bypasses fanOut's task-ordered merge; use fanOut or annotate //det:ok poolonly <reason>",
 						poolFile)
 				}
 				return true

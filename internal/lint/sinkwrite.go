@@ -6,12 +6,11 @@ import (
 )
 
 // sharedTypes names the engine-shared structures of repro/internal/clean: a
-// worker writing through any of them races the other workers and — worse —
-// makes the output depend on goroutine scheduling. All worker effects must
-// instead be recorded through the applier sink (assert/fix/hfix/conflictf/
-// spend, ap.stat for counters) and committed by the deterministic merge.
-// The names are matched against types declared in the analyzed package, so
-// fixtures can declare their own.
+// fan-out task writing through any of them races the other tasks and —
+// worse — makes the output depend on goroutine scheduling. A task writes
+// only its own task-indexed result slot, and the caller merges the slots in
+// task order after the fan-out. The names are matched against types
+// declared in the analyzed package, so fixtures can declare their own.
 var sharedTypes = map[string]bool{
 	"Engine":     true,
 	"Result":     true,
@@ -21,82 +20,90 @@ var sharedTypes = map[string]bool{
 	"groupIndex": true,
 	"dirtySet":   true,
 	"symtab":     true,
-	"pool":       true,
 }
 
 // workerScopeCalls are the functions whose function-literal arguments run on
-// pool workers, making those literals worker-scoped alongside *applier
-// methods and `go` statement bodies.
+// worker goroutines, making those literals worker-scoped alongside `go`
+// statement bodies. fanOut is the engine's only one.
 var workerScopeCalls = map[string]bool{
-	"runParallel": true,
-	"fanOut":      true,
-	"applyTuples": true,
-	"applyGroups": true,
+	"fanOut": true,
 }
 
-// SinkWriteLexical is the v1 sinkwrite check: purely lexical over the
-// selector chain of each assignment target inside the lexically discovered
-// worker scopes. It is no longer registered in All() — SinkWrite (v2, in
-// sinkwrite2.go) subsumes it with alias tracking — but it is kept exported
-// as the regression baseline: the sinkwritev2 fixture proves that v1 misses
-// the laundering counterexample (s := ap.e.apply[ri]; s.CTuples++) that v2
-// catches, so the gap this upgrade closed stays demonstrable.
-var SinkWriteLexical = &Analyzer{
+// SinkWrite flags writes to engine/matcher shared state — the Engine and
+// its Result/Report, the Checker, the scheduler with its group indexes,
+// dirty sets and symtabs — from worker-scoped code. Such a write races the
+// other fan-out tasks and injects scheduling order into state the identity
+// guarantee says is deterministic. Writes to tuple cells go through a local
+// tuple binding (t := e.data.Tuples[i]) — writing through the engine chain
+// directly is flagged on purpose, since the binding is what makes cell
+// ownership visible.
+//
+// The check is alias-aware. On top of the selector-chain check it tracks,
+// per enclosing function, the locals that alias shared state — through
+// plain assignments, struct-field loads, index loads, and closure captures
+// — and flags writes through those aliases too, which closes the laundering
+// gap of a purely lexical check:
+//
+//	s := e.apply[ri] // *ApplyStats: a non-shared intermediate type
+//	s.CTuples++      // reported as a write through an alias of Engine
+//
+// Worker-scope discovery is dataflow-extended too: beyond `go` statement
+// bodies and literal arguments to fanOut, a literal bound to a local and
+// then handed to fanOut, and a literal invoked from a worker-scoped body,
+// are worker-scoped as well.
+//
+// The taint stops at the boundaries documented in dataflow.go: call
+// results, owned tuple bindings, and non-reference value copies.
+var SinkWrite = &Analyzer{
 	Name:      "sinkwrite",
-	Doc:       "write to shared engine state from worker-scoped code (lexical v1)",
+	Doc:       "write to shared engine state from worker-scoped code (alias-aware)",
 	AppliesTo: func(path string) bool { return path == "repro/internal/clean" },
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
-			for _, body := range workerScopedBodies(f) {
-				checkSinkWrites(p, body)
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				sc := analyzeFunc(p, fd.Body)
+				for _, body := range pruneNested(workerBodies(p, fd.Body, sc.lits)) {
+					checkSinkWrites(p, sc, body)
+				}
 			}
 		}
 	},
 }
 
-// workerScopedBodies collects the function bodies of f that run on pool
-// workers: methods with an applier receiver, `go` statement literals, and
-// literal arguments to the pool entry points. Nested literals are covered
-// implicitly — the caller inspects each body recursively.
-func workerScopedBodies(f *ast.File) []*ast.BlockStmt {
-	var bodies []*ast.BlockStmt
-	ast.Inspect(f, func(n ast.Node) bool {
+// checkSinkWrites reports every assignment or inc/dec inside body whose
+// target chain passes through a shared-typed value, directly or through a
+// tainted local alias.
+func checkSinkWrites(p *Pass, sc *funcScope, body *ast.BlockStmt) {
+	report := func(target ast.Expr) {
+		name, viaAlias := sharedWriteBase(p, sc.taint, target)
+		if name == "" {
+			return
+		}
+		if viaAlias {
+			p.Reportf(target.Pos(),
+				"write through a local alias of shared %s from worker-scoped code races the other fan-out tasks; write only the task's own result slot and merge after fanOut returns, or annotate //det:ok sinkwrite <reason>",
+				name)
+			return
+		}
+		p.Reportf(target.Pos(),
+			"write through shared %s from worker-scoped code races the other fan-out tasks; write only the task's own result slot and merge after fanOut returns, or annotate //det:ok sinkwrite <reason>",
+			name)
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.FuncDecl:
-			if x.Recv != nil && x.Body != nil && receiverName(x) == "applier" {
-				bodies = append(bodies, x.Body)
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				report(lhs)
 			}
-		case *ast.GoStmt:
-			if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-				bodies = append(bodies, lit.Body)
-			}
-		case *ast.CallExpr:
-			if workerScopeCalls[calleeName(x)] {
-				for _, arg := range x.Args {
-					if lit, ok := arg.(*ast.FuncLit); ok {
-						bodies = append(bodies, lit.Body)
-					}
-				}
-			}
+		case *ast.IncDecStmt:
+			report(x.X)
 		}
 		return true
 	})
-	return bodies
-}
-
-func receiverName(fd *ast.FuncDecl) string {
-	if len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	// Generic receivers (IndexExpr) don't occur here; an Ident is the base.
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
 }
 
 func calleeName(call *ast.CallExpr) string {
@@ -111,54 +118,6 @@ func calleeName(call *ast.CallExpr) string {
 		return calleeName(&ast.CallExpr{Fun: fun.X})
 	}
 	return ""
-}
-
-// checkSinkWrites reports every assignment or inc/dec inside body whose
-// target chain passes through a shared-typed value.
-func checkSinkWrites(p *Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if base := sharedBase(p, lhs); base != "" {
-					p.Reportf(lhs.Pos(),
-						"write through shared %s from worker-scoped code escapes the propose/commit sink; record the effect through the applier (assert/fix/hfix/conflictf/spend, ap.stat) or annotate //det:ok sinkwrite <reason>",
-						base)
-				}
-			}
-		case *ast.IncDecStmt:
-			if base := sharedBase(p, x.X); base != "" {
-				p.Reportf(x.X.Pos(),
-					"write through shared %s from worker-scoped code escapes the propose/commit sink; record the effect through the applier (assert/fix/hfix/conflictf/spend, ap.stat) or annotate //det:ok sinkwrite <reason>",
-					base)
-			}
-		}
-		return true
-	})
-}
-
-// sharedBase walks the selector/index chain of an assignment target and
-// returns the name of the first shared type the chain passes through, or ""
-// when the write never touches shared state. A bare identifier target is
-// never a shared write — rebinding a local alias mutates nothing.
-func sharedBase(p *Pass, e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		default:
-			return ""
-		}
-		if name := sharedTypeName(p, p.TypeOf(e)); name != "" {
-			return name
-		}
-	}
 }
 
 // sharedTypeName returns the shared-type name behind t (directly or one

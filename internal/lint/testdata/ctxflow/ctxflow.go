@@ -1,7 +1,7 @@
 // Package ctxflow is the golden fixture of the ctxflow analyzer: unbounded
 // loops and rule-worklist loops must reach a cancellation check per
 // iteration. The doubles mirror the engine's shapes: an interrupted()
-// predicate over a context, an atomic abort flag, pool entry points.
+// predicate over a context, an atomic abort flag, a worklist driver.
 package ctxflow
 
 import (
@@ -69,7 +69,7 @@ func (e *Engine) goodViaCallee() {
 
 func (e *Engine) step() bool { return e.interrupted() }
 
-// A rule worklist loop that drives pool work must observe cancellation
+// A rule worklist loop that drives worklist work must observe cancellation
 // between rules.
 func (e *Engine) goodRules() {
 	for range e.rules {
@@ -81,7 +81,7 @@ func (e *Engine) goodRules() {
 }
 
 func (e *Engine) badRules() {
-	for _, r := range e.rules { // want "rule worklist loop drives pool work"
+	for _, r := range e.rules { // want "rule worklist loop drives worklist work"
 		_ = r.Name
 		applyTuples(nil, nil)
 	}
@@ -90,14 +90,14 @@ func (e *Engine) badRules() {
 // Work reached through a same-package helper still makes the loop a
 // worklist loop.
 func (e *Engine) badRulesIndirect() {
-	for range e.rules { // want "rule worklist loop drives pool work"
+	for range e.rules { // want "rule worklist loop drives worklist work"
 		e.applyOne()
 	}
 }
 
 func (e *Engine) applyOne() { applyTuples(nil, nil) }
 
-// Bounded setup over the rules — no pool work — is out of scope.
+// Bounded setup over the rules — no worklist work — is out of scope.
 func (e *Engine) setupRules() map[string]bool {
 	seen := make(map[string]bool)
 	for _, r := range e.rules {

@@ -5,6 +5,7 @@ package poolonly
 
 import "sync"
 
+// pooled mirrors fanOut: worker goroutines are spawned here, and only here.
 func pooled(n int, fn func(int)) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -13,23 +14,6 @@ func pooled(n int, fn func(int)) {
 			defer wg.Done()
 			fn(i)
 		}(i)
-	}
-	wg.Wait()
-}
-
-// stealing mirrors the work-stealing worker loop: goroutines that claim
-// from their own shard and steal from peers are still spawned here, and
-// only here.
-func stealing(queues []chan int, fn func(int)) {
-	var wg sync.WaitGroup
-	for w := range queues {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range queues[w] {
-				fn(i)
-			}
-		}(w)
 	}
 	wg.Wait()
 }
