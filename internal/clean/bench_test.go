@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -48,14 +49,15 @@ md name=name -> St=St
 }
 
 // BenchmarkCRepair measures one full deterministic-repair fixpoint,
-// including the per-iteration relation clone and index build done by New.
+// including the per-iteration relation clone and index build done by
+// NewContext.
 func BenchmarkCRepair(b *testing.B) {
 	data, master, rules := benchInput(b, 2000, 500)
 	opts := DefaultOptions()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := New(data, master, rules, opts)
+		e := NewContext(context.Background(), data, master, rules, opts)
 		e.CRepair()
 	}
 }
@@ -71,7 +73,7 @@ func BenchmarkERepair(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := New(data, master, rules, opts)
+		e := NewContext(context.Background(), data, master, rules, opts)
 		e.CRepair()
 		b.StartTimer()
 		e.ERepair()
@@ -148,7 +150,7 @@ func BenchmarkHRepair(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := New(data, master, rules, opts)
+		e := NewContext(context.Background(), data, master, rules, opts)
 		e.CRepair()
 		e.ERepair()
 		b.StartTimer()

@@ -62,12 +62,9 @@ type Report struct {
 	// not an estimate. DegradeReason names the exhausted budget.
 	Degraded      bool
 	DegradeReason string
-	// Patched counts rules this report served from a previous report's
-	// cached per-rule result instead of re-checking — nonzero only on the
-	// streaming update path (see docs/streaming.md), where a rule none of
-	// whose read attributes changed since the last certified run keeps its
-	// prior violations verbatim. Deliberately absent from String: a patched
-	// report must be byte-identical to a from-scratch one.
+	// Patched is always 0: every certification re-checks every rule, and
+	// no report is served from a cache. It is kept because perfbench still
+	// reads it (its stream.patched_per_update metric reads 0).
 	Patched int
 
 	byRule    map[string]int // exact violations per checked rule name
@@ -157,7 +154,7 @@ type Checker struct {
 	// full-scan fallback uses (no usable index, or the LCS bound is vacuous
 	// for a too-short value). Shared read-only across workers.
 	allMaster []int
-	// workers bounds the per-rule certification fan-out of Check.
+	// workers bounds the per-rule certification fan-out of CheckContext.
 	workers int
 	// noBlock forces the naive |D|·|Dm| scan for every MD — the reference
 	// enumeration the blocked-vs-scan property tests compare against.
@@ -213,7 +210,6 @@ func newChecker(rules []rule.Rule, master *relation.Relation, matchers []*matche
 type ruleReport struct {
 	violations []Violation
 	count      int // exact violations, including beyond the cap
-	truncated  int
 	visits     int // (t, s) premise verifications (MD rules only)
 }
 
@@ -234,15 +230,10 @@ type certTask struct {
 }
 
 // certTasks builds the certification task list in (rule, lo) order — the
-// merge order of Check. A non-nil dirty mask drops the tasks of clean rules
-// entirely: checkPatched serves those from the cached per-rule reports, so
-// no worker ever visits them.
-func (c *Checker) certTasks(d *relation.Relation, dirty []bool) []certTask {
+// merge order of CheckContext.
+func (c *Checker) certTasks(d *relation.Relation) []certTask {
 	tasks := make([]certTask, 0, len(c.rules))
 	for ri, r := range c.rules {
-		if dirty != nil && !dirty[ri] {
-			continue
-		}
 		if c.workers > 1 && r.Kind == rule.MatchMD && c.master != nil {
 			n := d.Len() / certShardMin
 			if lim := c.workers * 4; n > lim {
@@ -260,41 +251,14 @@ func (c *Checker) certTasks(d *relation.Relation, dirty []bool) []certTask {
 	return tasks
 }
 
-// Check certifies d against every rule and returns the violation report.
-// It never mutates d. Certification tasks run concurrently when the checker
-// has a worker budget; the report is identical for any worker count. Check
-// is the legacy non-erroring form: a failure (possible only with a
-// cancellable context or injected faults) panics.
-func (c *Checker) Check(d *relation.Relation) *Report {
-	rep, err := c.CheckContext(context.Background(), d)
-	if err != nil {
-		panic(err)
-	}
-	return rep
-}
-
-// CheckContext is Check under a context: certification stops between tasks
-// on cancellation and returns ErrCanceled/ErrDeadline; a panicking task is
-// contained and returned as a *WorkerError. Certification never mutates d,
-// so there is nothing to roll back.
+// CheckContext certifies d against every rule and returns the violation
+// report. It never mutates d, so there is nothing to roll back.
+// Certification tasks run concurrently when the checker has a worker
+// budget; the report is identical for any worker count. Certification
+// stops between tasks on cancellation and returns ErrCanceled/ErrDeadline;
+// a panicking task is contained and returned as a *WorkerError.
 func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Report, error) {
-	rep, _, err := c.checkPatched(ctx, d, nil, nil)
-	return rep, err
-}
-
-// checkPatched is CheckContext with per-rule incremental patching: rules
-// whose dirty bit is unset are served verbatim from cached (the per-rule
-// reports of the previous certified pass, parallel to c.rules) instead of
-// being re-checked. A nil dirty mask means every rule is dirty — plain
-// CheckContext behavior. Because rule certification is a pure function of
-// the rule's read columns and the immutable master, a cached report for a
-// rule none of whose read attributes changed is byte-identical to what a
-// re-check would produce, violations, cap, truncation tally and visit
-// counters included. The returned perRule slice (parallel to c.rules)
-// holds every rule's merged report — re-checked or cached — for the next
-// patched pass to cache.
-func (c *Checker) checkPatched(ctx context.Context, d *relation.Relation, dirty []bool, cached []ruleReport) (*Report, []ruleReport, error) {
-	tasks := c.certTasks(d, dirty)
+	tasks := c.certTasks(d)
 	subs := make([]ruleReport, len(tasks))
 	run := func(ti int) {
 		t := tasks[ti]
@@ -309,50 +273,38 @@ func (c *Checker) checkPatched(ctx context.Context, d *relation.Relation, dirty 
 		subs[ti] = c.checkRule(d, t.ri, t.lo, t.hi, x)
 	}
 	if err := fanOut(ctx, "certify", c.workers, len(tasks), run); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Ordered merge: rule order, ascending-lo concatenation within a rule
 	// (which reconstructs the sequential (T, S) violation stream), the
 	// per-rule cap re-applied over the concatenation, order-independent
 	// sums — byte-identical to the sequential pass for any worker count.
-	// Clean rules have no tasks; their merged report is the cached one,
-	// re-emitted into the same rule-order slot, so the Violations stream,
-	// counts and visit totals come out as if the rule had been re-checked.
 	rep := &Report{byRule: make(map[string]int, len(c.rules))}
-	perRule := make([]ruleReport, len(c.rules))
 	ti := 0
-	for ri := range c.rules {
+	for ri, r := range c.rules {
 		var rr ruleReport
-		if dirty != nil && !dirty[ri] {
-			rr = cached[ri]
-			rep.Patched++
-		} else {
-			for ; ti < len(tasks) && tasks[ti].ri == ri; ti++ {
-				s := &subs[ti]
-				rr.count += s.count
-				rr.visits += s.visits
-				rr.violations = append(rr.violations, s.violations...)
-			}
-			if len(rr.violations) > maxStoredPerRule {
-				rr.violations = rr.violations[:maxStoredPerRule]
-			}
-			rr.truncated = rr.count - len(rr.violations)
+		for ; ti < len(tasks) && tasks[ti].ri == ri; ti++ {
+			s := &subs[ti]
+			rr.count += s.count
+			rr.visits += s.visits
+			rr.violations = append(rr.violations, s.violations...)
 		}
-		perRule[ri] = rr
+		if len(rr.violations) > maxStoredPerRule {
+			rr.violations = rr.violations[:maxStoredPerRule]
+		}
 
-		name := c.rules[ri].Name()
-		rep.byRule[name] += rr.count // creates the entry even at zero: "checked"
-		if c.rules[ri].Kind == rule.MatchMD {
+		rep.byRule[r.Name()] += rr.count // creates the entry even at zero: "checked"
+		if r.Kind == rule.MatchMD {
 			rep.mds += rr.count
 		} else {
 			rep.cfds += rr.count
 		}
 		rep.Violations = append(rep.Violations, rr.violations...)
-		rep.Truncated += rr.truncated
+		rep.Truncated += rr.count - len(rr.violations)
 		rep.CertVisits += rr.visits
 	}
-	return rep, perRule, nil
+	return rep, nil
 }
 
 // checkRule certifies d against rule ri over the data tuples in [lo, hi) —
@@ -371,9 +323,7 @@ func (c *Checker) checkRule(d *relation.Relation, ri, lo, hi int, x *matcher) ru
 		c.visitMDViolationsRange(d, r.MD, x, lo, hi, &rr.visits, func(v md.Violation) bool {
 			rr.count++
 			if len(rr.violations) >= maxStoredPerRule {
-				// Beyond the cap: tally without formatting the detail.
-				rr.truncated++
-				return true
+				return true // beyond the cap: counted, never formatted
 			}
 			// A violating (t, s) pair disagrees on at least one
 			// conclusion pair; report the first one that does, so the
@@ -400,7 +350,6 @@ func (c *Checker) checkRule(d *relation.Relation, ri, lo, hi int, x *matcher) ru
 		for _, v := range cfd.Violations(d, r.CFD) {
 			rr.count++
 			if len(rr.violations) >= maxStoredPerRule {
-				rr.truncated++
 				continue
 			}
 			tuples := []int{v.T1}

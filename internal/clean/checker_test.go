@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -12,6 +13,17 @@ import (
 	"repro/internal/rule"
 	"repro/internal/similarity"
 )
+
+// mustCheck certifies d with c under a background context, failing the
+// test on error.
+func mustCheck(t testing.TB, c *Checker, d *relation.Relation) *Report {
+	t.Helper()
+	rep, err := c.CheckContext(context.Background(), d)
+	if err != nil {
+		t.Fatalf("CheckContext: %v", err)
+	}
+	return rep
+}
 
 // simInstance is one randomized dirty instance with master data and a
 // similarity-only MD (no equality clause): the corpus leg that exercises the
@@ -220,9 +232,9 @@ func TestCheckerBlockedOrderIdentity(t *testing.T) {
 		in := genSimInstance(seed)
 		d := in.data()
 		c := NewChecker(in.rules, in.master)
-		blocked := c.Check(d)
+		blocked := mustCheck(t, c, d)
 		c.noBlock = true
-		naive := c.Check(d)
+		naive := mustCheck(t, c, d)
 		if diff := diffReports(blocked, naive); diff != "" {
 			t.Fatalf("seed %d: blocked and scan certification disagree: %s", seed, diff)
 		}
@@ -256,20 +268,20 @@ func TestCheckerBlockedOrderIdentity(t *testing.T) {
 }
 
 // TestCheckerParallelWorkerSweep pins the worker-count independence of the
-// certification fan-out: for every worker count the parallel Check must
-// produce a Report deeply identical to the sequential one — violations in
-// rule order, truncation, certify visit counter, and the internal per-rule
+// certification fan-out: for every worker count the parallel CheckContext
+// must produce a Report deeply identical to the sequential one — violations
+// in rule order, truncation, certify visit counter, and the internal per-rule
 // accounting. Run under -race, this is also what proves the per-rule
 // passes share nothing but forked matchers.
 func TestCheckerParallelWorkerSweep(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		in := genSimInstance(seed)
 		d := in.data()
-		base := NewChecker(in.rules, in.master).Check(d)
+		base := mustCheck(t, NewChecker(in.rules, in.master), d)
 		for _, workers := range []int{2, 4, 8} {
 			c := NewChecker(in.rules, in.master)
 			c.workers = workers
-			rep := c.Check(d)
+			rep := mustCheck(t, c, d)
 			if diff := diffReports(rep, base); diff != "" {
 				t.Fatalf("seed %d, %d workers: %s", seed, workers, diff)
 			}
@@ -285,11 +297,11 @@ func TestCheckerParallelWorkerSweep(t *testing.T) {
 	// The MD-heavy figure1 workload, repeated to let goroutine scheduling
 	// vary: the ordered merge is the only place report order can come from.
 	data, master, rules := figure1(t)
-	base := NewChecker(rules, master).Check(data)
+	base := mustCheck(t, NewChecker(rules, master), data)
 	for rep := 0; rep < 20; rep++ {
 		c := NewChecker(rules, master)
 		c.workers = 4
-		if diff := diffReports(c.Check(data), base); diff != "" {
+		if diff := diffReports(mustCheck(t, c, data), base); diff != "" {
 			t.Fatalf("figure1 repetition %d: %s", rep, diff)
 		}
 	}

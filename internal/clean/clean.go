@@ -47,10 +47,6 @@ type Options struct {
 	// TopL bounds the number of blocking candidates returned per
 	// suffix-tree lookup during MD matching (the constant l of Section 5.2).
 	TopL int
-	// MaxRounds bounds the cRepair fixpoint iteration; 0 means no bound.
-	// Termination is guaranteed regardless, because every applied fix or
-	// assertion freezes a previously mutable cell.
-	MaxRounds int
 	// HBudget is the per-cell change budget of hRepair: how many times the
 	// heuristic phase may rewrite one cell before falling back to
 	// retraction, which prevents oscillation between interacting rules.
@@ -267,7 +263,7 @@ type Engine struct {
 	// ctx carries the run's cooperative cancellation: the round loops, the
 	// eRepair resolution loop and the fan-out tasks all poll it, so a
 	// cancel or deadline surfaces as a typed error within one round.
-	// Always non-nil (Background for the legacy Run/New API).
+	// Always non-nil (Background for the legacy Run API).
 	ctx context.Context
 	// fail is the first failure observed — ErrCanceled, ErrDeadline, or a
 	// contained *WorkerError. Once set it poisons the engine: every phase
@@ -285,44 +281,18 @@ type Engine struct {
 	// fj is Options.Fault; nil keeps every hook point inert.
 	fj *fault.Injector
 
-	// Streaming state (see stream.go). Zero on batch engines: RunContext
-	// never sets any of it, so the one-shot pipeline pays nothing for the
-	// update API existing.
-	//
-	// streaming marks an engine built by NewStream; base is its raw input
-	// plus every accepted update (the instance a from-scratch run would be
-	// handed); deleted tracks tombstoned tuple ids; protos holds the master
-	// blocking indexes built once at construction, which every update's
-	// sub-run forks instead of rebuilding.
-	streaming bool
-	base      *relation.Relation
-	deleted   map[int]bool
-	protos    []*matcher
-	// certPrev/prevData feed the incremental certification of finish: the
-	// per-rule reports and final relation of the previously adopted run.
-	// A rule none of whose read attributes changed between prevData and the
-	// new final relation is served from certPrev instead of being
-	// re-checked. certOut is what finish produced, adopted as the next
-	// certPrev on success; certCache is the adopted copy on the streaming
-	// shell.
-	certPrev  []ruleReport
-	prevData  *relation.Relation
-	certOut   []ruleReport
-	certCache []ruleReport
+	// stream is the shell state of an engine built by NewStream (see
+	// stream.go); nil on batch engines, so the one-shot pipeline pays
+	// nothing for the update API existing.
+	stream *stream
 }
 
-// New prepares an engine: it clones data, orders the rules per Section 6.2,
-// builds the MD blocking indexes over master, and computes the scheduler
-// state (reverse dependency map, variable-CFD group indexes) over the clone.
-// master may be nil when the rule set contains no MDs. The engine is not
-// cancellable; use NewContext to attach a context.
-func New(data, master *relation.Relation, rules []rule.Rule, opts Options) *Engine {
-	return NewContext(context.Background(), data, master, rules, opts)
-}
-
-// NewContext is New with a context attached: the engine polls ctx at round
-// granularity (round loops, the eRepair resolution loop, fan-out tasks)
-// and fails with ErrCanceled/ErrDeadline once it is done.
+// NewContext prepares an engine: it clones data, orders the rules per
+// Section 6.2, builds the MD blocking indexes over master, and computes the
+// scheduler state (reverse dependency map, variable-CFD group indexes) over
+// the clone. master may be nil when the rule set contains no MDs. The engine
+// polls ctx at round granularity (round loops, the eRepair resolution loop,
+// fan-out tasks) and fails with ErrCanceled/ErrDeadline once it is done.
 func NewContext(ctx context.Context, data, master *relation.Relation, rules []rule.Rule, opts Options) *Engine {
 	return newEngine(ctx, data, master, rule.Order(rules), nil, opts)
 }
@@ -525,19 +495,14 @@ func (e *Engine) finish() (*Result, error) {
 	// built once per run) and fans its per-rule passes across the run's
 	// worker budget; the rule-ordered report merge keeps the Report
 	// deterministic for any worker count, so -certify output is identical
-	// whatever -workers says.
+	// whatever -workers says. A streaming update certifies the same way:
+	// every rule is re-checked on every run.
 	ck := newChecker(e.rules, e.master, e.matchers, e.opts.workerCount())
 	ck.fj = e.fj
-	// On the streaming update path (certPrev/prevData set by rebase), rules
-	// none of whose read attributes changed since the previously certified
-	// relation are served from that run's per-rule reports instead of being
-	// re-checked. A batch engine has no previous pass: dirtyRules returns
-	// nil and this is a plain full certification.
-	rep, perRule, err := ck.checkPatched(e.ctx, e.data, e.dirtyRules(), e.certPrev)
+	rep, err := ck.CheckContext(e.ctx, e.data)
 	if err != nil {
 		return nil, err
 	}
-	e.certOut = perRule
 	e.res.Report = rep
 	if e.degraded != "" {
 		e.res.Degraded, e.res.DegradeReason = true, e.degraded

@@ -152,8 +152,8 @@ func (e *Engine) ERepair() {
 		// seed is about to cover. The entropy pass over the groups is
 		// embarrassingly parallel — each task reads only its own member
 		// snapshot and the live relation, which nothing writes during the
-		// fan-out — so with more than one worker it runs through fanOut,
-		// with per-task result slots merged afterwards. The merge is
+		// fan-out — so it runs through fanOut (inline at one worker), with
+		// per-task result slots merged afterwards. The merge is
 		// order-independent (the AVL keys by (entropy, id), ETuples is a
 		// sum), so the map iteration and the fan-out schedule never show.
 		e.sched.resetE()
@@ -180,41 +180,34 @@ func (e *Engine) ERepair() {
 				})
 			}
 		}
-		if workers := e.opts.workerCount(); workers == 1 {
-			for ti, t := range tasks {
-				e.fj.At(fault.SiteSeed, ti, 0)
-				rekey(t.vi, t.key, t.kid, t.members)
+		if err := fanOut(e.ctx, "eRepair", e.opts.workerCount(), len(tasks), func(ti int) {
+			t := &tasks[ti]
+			e.fj.At(fault.SiteSeed, ti, 0)
+			t.entropy, t.distinct = groupEntropy(e.data, varCFDs[t.vi].RHS, t.members)
+		}); err != nil {
+			// Seeding never wrote the relation — the tasks only fill their
+			// own slots — so poisoning the engine and leaving eSeeded false
+			// is a consistent stop.
+			if e.fail == nil {
+				e.fail = err
 			}
-		} else {
-			if err := fanOut(e.ctx, "eRepair", workers, len(tasks), func(ti int) {
-				t := &tasks[ti]
-				e.fj.At(fault.SiteSeed, ti, 0)
-				t.entropy, t.distinct = groupEntropy(e.data, varCFDs[t.vi].RHS, t.members)
-			}); err != nil {
-				// Seeding never wrote the relation — the tasks only fill
-				// their own slots — so poisoning the engine and leaving
-				// eSeeded false is a consistent stop.
-				if e.fail == nil {
-					e.fail = err
-				}
-				return
+			return
+		}
+		// Replay rekey's bookkeeping per task, in slice order: count the
+		// members examined, then key the still-conflicted groups. The tree
+		// and groups map start empty on the seeding call and done is empty,
+		// so rekey's stale-delete and done checks are no-ops here by
+		// construction.
+		for ti := range tasks {
+			t := &tasks[ti]
+			e.apply[varRules[t.vi]].ETuples += len(t.members)
+			if t.distinct < 2 {
+				continue
 			}
-			// Replay rekey's bookkeeping per task, in slice order: count the
-			// members examined, then key the still-conflicted groups. The
-			// tree and groups map start empty on the seeding call and done
-			// is empty, so rekey's stale-delete and done checks are no-ops
-			// here by construction.
-			for ti := range tasks {
-				t := &tasks[ti]
-				e.apply[varRules[t.vi]].ETuples += len(t.members)
-				if t.distinct < 2 {
-					continue
-				}
-				id := strconv.Itoa(t.vi) + "|" + t.key
-				g := &egroup{ci: t.vi, id: id, key: t.kid, members: t.members, entropy: t.entropy}
-				groups[id] = g
-				tree.Insert(avl.Key{Entropy: g.entropy, ID: g.id})
-			}
+			id := strconv.Itoa(t.vi) + "|" + t.key
+			g := &egroup{ci: t.vi, id: id, key: t.kid, members: t.members, entropy: t.entropy}
+			groups[id] = g
+			tree.Insert(avl.Key{Entropy: g.entropy, ID: g.id})
 		}
 		e.eSeeded = true
 	default:

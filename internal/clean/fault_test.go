@@ -170,7 +170,8 @@ func TestRunContextHardDeadline(t *testing.T) {
 // the work item, and unwraps to the injected fault — with the same
 // coordinates whatever the worker count, since every worklist visit runs on
 // the calling goroutine. The corpus instance's first rule is a variable CFD
-// (applyGroups), figure1's a constant CFD (applyTuples).
+// (applyGroups), figure1's a constant CFD (applyTuples). A panic in eRepair's
+// seeding fan-out reports the same phase and task at every worker count.
 func TestWorkerErrorCoordinates(t *testing.T) {
 	in := genInstance(13)
 	data, master, rules := figure1(t)
@@ -206,6 +207,27 @@ func TestWorkerErrorCoordinates(t *testing.T) {
 				t.Fatalf("%s, %d workers: WorkerError carries no stack trace", x.name, workers)
 			}
 		}
+
+		// eRepair seeding runs through fanOut at every worker count, so a
+		// seeding panic names the phase and the first task alike. At one
+		// worker the task runs inline (shard -1); at more, the shard is a
+		// goroutine index and is not pinned.
+		opts := DefaultOptions()
+		opts.Workers = workers
+		opts.Fault = fault.New(13, fault.Rule{Site: fault.SiteSeed, Kind: fault.Panic, Rate: 1})
+		_, err := RunContext(context.Background(), in.relation(nil), nil, in.rules, opts)
+		var we *WorkerError
+		if !errors.As(err, &we) {
+			t.Fatalf("seed, %d workers: err = %v, want *WorkerError", workers, err)
+		}
+		if we.Phase != "eRepair" || we.Item != 0 || (workers == 1 && we.Shard != -1) {
+			t.Fatalf("seed, %d workers: WorkerError coordinates = phase %q item %d shard %d, want eRepair/0 (shard -1 at one worker)",
+				workers, we.Phase, we.Item, we.Shard)
+		}
+		var inj *fault.Injected
+		if !errors.As(err, &inj) || inj.Site != fault.SiteSeed {
+			t.Fatalf("seed, %d workers: WorkerError does not unwrap to the injected seed fault: %v", workers, err)
+		}
 	}
 }
 
@@ -239,7 +261,7 @@ func TestMaxFixesDegrades(t *testing.T) {
 	if !res.Report.Degraded || res.Report.DegradeReason != "max-fixes" {
 		t.Fatal("Report not flagged Degraded")
 	}
-	recheck := NewChecker(in.rules, nil).Check(res.Data)
+	recheck := mustCheck(t, NewChecker(in.rules, nil), res.Data)
 	if recheck.NumCFD() != res.Report.NumCFD() || recheck.NumMD() != res.Report.NumMD() {
 		t.Fatalf("degraded report is not truthful: claims %d/%d violations, recheck finds %d/%d",
 			res.Report.NumCFD(), res.Report.NumMD(), recheck.NumCFD(), recheck.NumMD())
@@ -269,7 +291,7 @@ func TestSoftDeadlineDegrades(t *testing.T) {
 	if len(res.Fixes) != 0 {
 		t.Fatalf("expired-at-start budget proposed %d fixes, want 0", len(res.Fixes))
 	}
-	recheck := NewChecker(in.rules, nil).Check(res.Data)
+	recheck := mustCheck(t, NewChecker(in.rules, nil), res.Data)
 	if recheck.NumCFD() != res.Report.NumCFD() {
 		t.Fatal("degraded report disagrees with an independent recheck")
 	}

@@ -118,7 +118,7 @@ func TestHRepairBudgetPreventsOscillation(t *testing.T) {
 // every violation.
 func TestCheckerStructuredReport(t *testing.T) {
 	data, master, rules := figure1(t)
-	rep := NewChecker(rules, master).Check(data)
+	rep := mustCheck(t, NewChecker(rules, master), data)
 	if rep.Clean() {
 		t.Fatal("the dirty Figure 1 instance must not certify clean")
 	}
@@ -155,7 +155,7 @@ func TestCheckerStructuredReport(t *testing.T) {
 
 	// After the pipeline the same checker must certify the output.
 	res := Run(data, master, rules, DefaultOptions())
-	if rep := NewChecker(rules, master).Check(res.Data); !rep.Clean() {
+	if rep := mustCheck(t, NewChecker(rules, master), res.Data); !rep.Clean() {
 		t.Errorf("pipeline output not certified:\n%s", rep)
 	} else if got := rep.String(); !strings.Contains(got, "certified clean") {
 		t.Errorf("clean rendering = %q", got)

@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -168,7 +169,7 @@ func TestDeltaOnlyRefiresReadingRules(t *testing.T) {
 	data.Append("a2", "b2", "c2", "d2")
 	data.SetAllConf(0.9)
 
-	e := New(data, nil, rules, DefaultOptions())
+	e := NewContext(context.Background(), data, nil, rules, DefaultOptions())
 	e.CRepair() // seeding round: every rule visits everything
 	ab, cd := *e.res.Apply["fdAB"], *e.res.Apply["fdCD"]
 
@@ -206,7 +207,7 @@ func TestMasterTieBreakReadsReenqueue(t *testing.T) {
 	data.Append("a0", "b", "c2")
 	data.SetAllConf(0.5) // below eta: nothing freezes, groups stay put
 
-	e := New(data, master, rules, DefaultOptions())
+	e := NewContext(context.Background(), data, master, rules, DefaultOptions())
 	e.CRepair() // seed; no writes at conf 0.5
 	var fdIdx int
 	for ri, r := range e.rules {
@@ -271,7 +272,7 @@ func TestCheckerMDBlockingIsExact(t *testing.T) {
 func TestGroupIndexStaysExact(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		in := genInstance(seed)
-		e := New(in.relation(nil), nil, in.rules, DefaultOptions())
+		e := NewContext(context.Background(), in.relation(nil), nil, in.rules, DefaultOptions())
 		e.CRepair()
 		e.ERepair()
 		e.HRepair()

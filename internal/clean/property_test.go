@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -100,7 +101,11 @@ func (in *propInstance) check(keep []bool) string {
 	data := in.relation(keep)
 	res := Run(data, nil, in.rules, DefaultOptions())
 
-	if rep := NewChecker(in.rules, nil).Check(res.Data); len(rep.CFDViolations()) > 0 {
+	rep, err := NewChecker(in.rules, nil).CheckContext(context.Background(), res.Data)
+	if err != nil {
+		return fmt.Sprintf("checker failed: %v", err)
+	}
+	if len(rep.CFDViolations()) > 0 {
 		return fmt.Sprintf("checker reports %d CFD violations after full pipeline:\n%s",
 			len(rep.CFDViolations()), rep)
 	}

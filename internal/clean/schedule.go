@@ -451,9 +451,7 @@ func (s *scheduler) resetE() {
 // column: its LHS attributes plus its RHS/conclusion data attributes (a
 // CFD also re-reads its RHS column to decide whether a tuple violates; an
 // MD compares the conclusion's data cell against master). This is the
-// dependency set the scheduler's attrRules reverse map is built from, and
-// the one the streaming update path diffs relations against to decide
-// which rules a certified Report must re-check (see Engine.dirtyRules).
+// dependency set the scheduler's attrRules reverse map is built from.
 func ruleReadSet(r rule.Rule, arity int) []bool {
 	reads := make([]bool, arity)
 	for _, a := range r.LHSAttrs() {

@@ -29,19 +29,13 @@ import (
 // run's output), including for degraded runs: a MaxFixes-degraded update
 // matches the from-scratch oracle because the oracle degrades identically.
 //
-// The honest incrementality lives where it cannot bend the output:
-//
-//   - Certification is patched per rule (Checker.checkPatched). A rule
-//     none of whose read columns changed between the previous adopted
-//     cleaned relation and the new one is served from the previous run's
-//     cached per-rule report — violations, cap, truncation and visit
-//     counters verbatim — because rule certification is a pure function of
-//     those columns and the immutable master. Report.Patched counts the
-//     rules served this way.
-//   - The MD blocking indexes (equality buckets, suffix tree) are built
-//     once over master at NewStream and forked per sub-run instead of
-//     rebuilt; forks share the immutable index structures and carry fresh
-//     statistics, so counters still come out identical to a cold build.
+// Every update therefore re-cleans and re-certifies in full: the sub-run's
+// finish makes the same Checker pass a batch run makes. The one piece of
+// work an update does not repeat is index construction: the MD blocking
+// indexes (equality buckets, suffix tree) are built once over master at
+// NewStream and forked per sub-run instead of rebuilt. Forks share the
+// immutable index structures and the similarity memo and carry fresh
+// statistics, so counters still come out identical to a cold build.
 //
 // Deletes are tombstones: every cell of the tuple becomes Null with zero
 // confidence and no fix mark, and the id is recorded in deleted. A null
@@ -53,10 +47,23 @@ import (
 //
 // Failure contract (docs/robustness.md extended to updates): a failed
 // update — invalid input, cancellation, injected fault, worker panic —
-// returns a typed error with the engine bit-unchanged: base, cleaned data,
-// Result, Report and the certification cache all stay exactly as the last
-// accepted update left them. Staging into base is undone before returning,
-// and sub-engine state is adopted only after a fully successful run.
+// returns a typed error with the engine bit-unchanged: base, tombstones,
+// cleaned data, Result and Report all stay exactly as the last accepted
+// update left them. Staging into base is undone before returning, and
+// sub-engine state is adopted only after a fully successful run.
+
+// stream is the shell state of a streaming engine, held in Engine.stream
+// (nil on batch engines). base is the raw input plus every accepted update
+// — the instance a from-scratch run would be handed; deleted tracks
+// tombstoned tuple ids; protos holds the master blocking indexes built once
+// at construction, which every update's sub-run forks instead of
+// rebuilding. The field names base and deleted are what the errcontract
+// analyzer keys its stage/undo pairing on.
+type stream struct {
+	base    *relation.Relation
+	deleted map[int]bool
+	protos  []*matcher
+}
 
 // NewStream builds a streaming engine: it runs the full pipeline over data
 // once (exactly as Run would) and returns an engine whose Upsert and
@@ -72,16 +79,17 @@ func NewStream(data, master *relation.Relation, rules []rule.Rule, opts Options)
 // call carries its own.
 func NewStreamContext(ctx context.Context, data, master *relation.Relation, rules []rule.Rule, opts Options) (*Engine, error) {
 	e := NewContext(ctx, data, master, rules, opts)
-	e.base = data.Clone()
-	// The matchers built by NewContext have done no work yet: they are the
-	// prototype indexes every update's sub-run forks.
-	e.protos = append([]*matcher(nil), e.matchers...)
+	st := &stream{
+		base:    data.Clone(),
+		deleted: make(map[int]bool),
+		// The matchers built by NewContext have done no work yet: they are
+		// the prototype indexes every update's sub-run forks.
+		protos: append([]*matcher(nil), e.matchers...),
+	}
 	if _, err := e.runAll(); err != nil {
 		return nil, err
 	}
-	e.streaming = true
-	e.deleted = make(map[int]bool)
-	e.certCache = e.certOut
+	e.stream = st
 	return e, nil
 }
 
@@ -140,10 +148,11 @@ func (e *Engine) DeleteContext(ctx context.Context, id int) (*Result, error) {
 // closure that reverts it. Validation happens before any mutation, so a
 // rejected update touches nothing.
 func (e *Engine) stageUpsert(id int, values []string, conf []float64) (func(), error) {
-	if !e.streaming {
+	st := e.stream
+	if st == nil {
 		return nil, ErrNotStreaming
 	}
-	arity := e.base.Schema.Arity()
+	arity := st.base.Schema.Arity()
 	if len(values) != arity {
 		return nil, fmt.Errorf("upsert t%d: %d values for arity %d: %w", id, len(values), arity, ErrBadUpdate)
 	}
@@ -153,26 +162,26 @@ func (e *Engine) stageUpsert(id int, values []string, conf []float64) (func(), e
 	for a, c := range conf {
 		if !(c >= 0 && c <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("upsert t%d: confidence %v for %s outside [0,1]: %w",
-				id, c, e.base.Schema.Attrs[a], ErrBadUpdate)
+				id, c, st.base.Schema.Attrs[a], ErrBadUpdate)
 		}
 	}
-	if id < 0 || id > e.base.Len() {
-		return nil, fmt.Errorf("upsert t%d: id outside [0, %d]: %w", id, e.base.Len(), ErrBadUpdate)
+	if id < 0 || id > st.base.Len() {
+		return nil, fmt.Errorf("upsert t%d: id outside [0, %d]: %w", id, st.base.Len(), ErrBadUpdate)
 	}
 
-	if id == e.base.Len() {
-		t := e.base.Append(values...)
+	if id == st.base.Len() {
+		t := st.base.Append(values...)
 		for a := range conf {
 			t.Conf[a] = conf[a]
 		}
 		return func() {
-			e.base.Tuples = e.base.Tuples[:len(e.base.Tuples)-1]
+			st.base.Tuples = st.base.Tuples[:len(st.base.Tuples)-1]
 		}, nil
 	}
 
-	t := e.base.Tuples[id]
+	t := st.base.Tuples[id]
 	saved := t.Clone()
-	wasDeleted := e.deleted[id]
+	wasDeleted := st.deleted[id]
 	for a := 0; a < arity; a++ {
 		c := 0.0
 		if conf != nil {
@@ -180,11 +189,11 @@ func (e *Engine) stageUpsert(id int, values []string, conf []float64) (func(), e
 		}
 		t.Set(a, values[a], c, relation.FixNone)
 	}
-	delete(e.deleted, id)
+	delete(st.deleted, id)
 	return func() {
-		e.base.Tuples[id] = saved
+		st.base.Tuples[id] = saved
 		if wasDeleted {
-			e.deleted[id] = true
+			st.deleted[id] = true
 		}
 	}, nil
 }
@@ -192,36 +201,34 @@ func (e *Engine) stageUpsert(id int, values []string, conf []float64) (func(), e
 // stageDelete validates the delete and tombstones tuple id in base,
 // returning the closure that reverts it.
 func (e *Engine) stageDelete(id int) (func(), error) {
-	if !e.streaming {
+	st := e.stream
+	if st == nil {
 		return nil, ErrNotStreaming
 	}
-	if id < 0 || id >= e.base.Len() {
-		return nil, fmt.Errorf("delete t%d: id outside [0, %d): %w", id, e.base.Len(), ErrBadUpdate)
+	if id < 0 || id >= st.base.Len() {
+		return nil, fmt.Errorf("delete t%d: id outside [0, %d): %w", id, st.base.Len(), ErrBadUpdate)
 	}
-	if e.deleted[id] {
+	if st.deleted[id] {
 		return nil, fmt.Errorf("delete t%d: already deleted: %w", id, ErrBadUpdate)
 	}
-	t := e.base.Tuples[id]
+	t := st.base.Tuples[id]
 	saved := t.Clone()
-	for a := 0; a < e.base.Schema.Arity(); a++ {
+	for a := 0; a < st.base.Schema.Arity(); a++ {
 		t.Set(a, relation.Null, 0, relation.FixNone)
 	}
-	e.deleted[id] = true
+	st.deleted[id] = true
 	return func() {
-		e.base.Tuples[id] = saved
-		delete(e.deleted, id)
+		st.base.Tuples[id] = saved
+		delete(st.deleted, id)
 	}, nil
 }
 
 // rebase runs a fresh sub-engine over the staged base and, on success,
 // adopts its entire state. The sub-engine inherits the shell's options and
-// ordered rules, forks the prototype blocking indexes instead of
-// rebuilding them, and hands its certifier the previous adopted run's
-// per-rule reports so untouched rules are patched rather than re-checked.
+// ordered rules and forks the prototype blocking indexes instead of
+// rebuilding them.
 func (e *Engine) rebase(ctx context.Context) (*Result, error) {
-	s := newEngine(ctx, e.base, e.master, e.rules, e.protos, e.opts)
-	s.certPrev = e.certCache
-	s.prevData = e.data
+	s := newEngine(ctx, e.stream.base, e.master, e.rules, e.stream.protos, e.opts)
 	res, err := s.runAll()
 	if err != nil {
 		return nil, err
@@ -231,58 +238,16 @@ func (e *Engine) rebase(ctx context.Context) (*Result, error) {
 }
 
 // adopt makes the shell engine a full mirror of the sub-engine that just
-// ran: data, result, certification cache and every piece of scheduler and
-// phase state, so any read on the shell observes exactly the state of the
-// run that produced the current Result. The raw base, the tombstone set
-// and the index prototypes stay the shell's own.
+// ran — data, result and every piece of scheduler and phase state — so any
+// read on the shell observes exactly the state of the run that produced the
+// current Result. Only the shell's stream state and its context stay its
+// own: the sub-engine ran under the update's context.
 func (e *Engine) adopt(s *Engine) {
-	e.data = s.data
-	e.res = s.res
-	e.matchers = s.matchers
-	e.apply = s.apply
-	e.seen = s.seen
-	e.hleft = s.hleft
-	e.sched = s.sched
-	e.allIDs = s.allIDs
-	e.cSeeded, e.eSeeded, e.hSeeded = s.cSeeded, s.eSeeded, s.hSeeded
-	e.etree, e.egroups, e.eredo = s.etree, s.egroups, s.eredo
-	e.degraded = s.degraded
-	e.start = s.start
-	e.certCache = s.certOut
+	st, ctx := e.stream, e.ctx
+	*e = *s
+	e.stream, e.ctx = st, ctx
 }
 
-// dirtyRules computes the certification dirty mask of a sub-run: rule ri
-// must be re-checked unless none of its read columns differ between the
-// previously certified relation (prevData) and the relation just repaired.
-// Certification reads cell values only — never confidences or marks — so
-// the diff is on Values. A nil return means "re-check everything": batch
-// engines (no previous pass) and any cardinality change (positional diff
-// would be meaningless) take it.
-func (e *Engine) dirtyRules() []bool {
-	if e.certPrev == nil || e.prevData == nil || e.prevData.Len() != e.data.Len() {
-		return nil
-	}
-	arity := e.data.Schema.Arity()
-	changed := make([]bool, arity)
-	for i, t := range e.prevData.Tuples {
-		u := e.data.Tuples[i]
-		for a := 0; a < arity; a++ {
-			if !changed[a] && t.Values[a] != u.Values[a] {
-				changed[a] = true
-			}
-		}
-	}
-	dirty := make([]bool, len(e.rules))
-	for ri, r := range e.rules {
-		for a, in := range ruleReadSet(r, arity) {
-			if in && changed[a] {
-				dirty[ri] = true
-				break
-			}
-		}
-	}
-	return dirty
-}
-
-// Deleted reports whether tuple id is currently tombstoned.
-func (e *Engine) Deleted(id int) bool { return e.deleted[id] }
+// Deleted reports whether tuple id is currently tombstoned; always false on
+// a batch engine.
+func (e *Engine) Deleted(id int) bool { return e.stream != nil && e.stream.deleted[id] }

@@ -114,9 +114,7 @@ func validOps(n0 int, ops []gen.Update) bool {
 // The bar is diffParallel's: cell state, Fixes, counters, matcher and
 // applier statistics, the certified Report and its CertVisits must all be
 // byte-identical. Returns a description of the first divergence, or "".
-// patched accumulates Report.Patched across accepted updates, proving the
-// certification cache is actually exercised by the corpus.
-func checkStream(in streamCase, ops []gen.Update, opts Options, patched *int) string {
+func checkStream(in streamCase, ops []gen.Update, opts Options) string {
 	e, err := NewStream(in.data(), in.master, in.rules, opts)
 	if err != nil {
 		return fmt.Sprintf("NewStream: %v", err)
@@ -143,7 +141,6 @@ func checkStream(in streamCase, ops []gen.Update, opts Options, patched *int) st
 		if d := diffParallel(res, oracle); d != "" {
 			return fmt.Sprintf("op %d (%+v): %s", oi, u, d)
 		}
-		*patched += res.Report.Patched
 	}
 	return ""
 }
@@ -169,10 +166,9 @@ func (in *simInstance) streamCase() streamCase {
 // single ops (and re-validating the remainder) while the failure persists.
 func shrinkOps(in streamCase, ops []gen.Update, opts Options) []gen.Update {
 	n0 := in.data().Len()
-	dummy := 0
 	for i := 0; i < len(ops); {
 		cand := append(append([]gen.Update(nil), ops[:i]...), ops[i+1:]...)
-		if validOps(n0, cand) && checkStream(in, cand, opts, &dummy) != "" {
+		if validOps(n0, cand) && checkStream(in, cand, opts) != "" {
 			ops = cand
 			continue
 		}
@@ -185,32 +181,25 @@ func shrinkOps(in streamCase, ops []gen.Update, opts Options) []gen.Update {
 // over the seeded dirty corpus, random interleaved Upsert/Delete sequences
 // must keep the engine fix-for-fix and byte-for-byte identical to a
 // from-scratch RunContext on the accumulated base instance — cell state,
-// Fixes, conflicts, rounds, work counters, and the incrementally patched
-// Report included — under both the sequential and the 4-worker engine.
-// CI runs it under -race (the stream-sweep job). The suite also asserts
-// the certification cache fired at least once across the corpus: a
-// Report.Patched that stayed zero would mean the incremental path is dead
-// code and the property vacuous.
+// Fixes, conflicts, rounds, work counters, and the certified Report
+// included — under both the sequential and the 4-worker engine. CI runs it
+// under -race (the stream-sweep job).
 func TestPropertyStreamEquivalence(t *testing.T) {
 	seeds := int64(400)
 	if testing.Short() {
 		seeds = 60
 	}
-	patched := 0
 	for _, mode := range faultModes() {
 		t.Run(mode.name, func(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
 				in := genInstance(seed)
 				ops := genOps(len(in.rows), seed)
-				if msg := checkStream(in.streamCase(), ops, mode.opts, &patched); msg != "" {
+				if msg := checkStream(in.streamCase(), ops, mode.opts); msg != "" {
 					ops = shrinkOps(in.streamCase(), ops, mode.opts)
 					t.Fatalf("seed %d: %s\nshrunk ops: %+v", seed, msg, ops)
 				}
 			}
 		})
-	}
-	if patched == 0 {
-		t.Error("Report.Patched stayed 0 across the whole corpus: certification caching never fired")
 	}
 }
 
@@ -283,13 +272,12 @@ func TestPropertyStreamEquivalenceSimMD(t *testing.T) {
 	seq.Workers = 1
 	pool := DefaultOptions()
 	pool.Workers = 4
-	patched := 0
 	for _, mode := range []faultMode{{"seq", seq}, {"pool", pool}} {
 		t.Run(mode.name, func(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
 				in := genSimInstance(seed)
 				ops := genSimOps(in, seed)
-				if msg := checkStream(in.streamCase(), ops, mode.opts, &patched); msg != "" {
+				if msg := checkStream(in.streamCase(), ops, mode.opts); msg != "" {
 					ops = shrinkOps(in.streamCase(), ops, mode.opts)
 					t.Fatalf("seed %d: %s\nshrunk ops: %+v", seed, msg, ops)
 				}
@@ -433,7 +421,7 @@ func TestDeleteEvictsFrozenEntropyGroup(t *testing.T) {
 	}
 }
 
-// streamEdgeFixture builds the Report-patching edge workload: two
+// streamEdgeFixture builds the Report edge workload: two
 // contradictory constant CFDs over trusted cells — the engine enforces one
 // (phi2's value wins) and the other's violations persist, since the
 // trusted LHS may not be retracted — plus an independent clean FD over
@@ -458,12 +446,11 @@ func streamEdgeFixture(tuples, conflicts int) (*relation.Relation, []rule.Rule) 
 	return data, rules
 }
 
-// TestStreamReportPatchingEdges exercises the certification cache's edge
-// cases across updates: a rule going dirty→clean→dirty, a rule untouched
-// by any update keeping RuleClean's (clean, known) contract while served
-// from cache, and Report.Patched proving which certifications were reused.
-// Every step is also held to the from-scratch oracle.
-func TestStreamReportPatchingEdges(t *testing.T) {
+// TestStreamReportRuleFlips exercises the re-certified Report's edge cases
+// across updates: a rule going dirty→clean→dirty, and a rule untouched by
+// any update keeping RuleClean's (clean, known) contract. Every step is
+// also held to the from-scratch oracle.
+func TestStreamReportRuleFlips(t *testing.T) {
 	data, rules := streamEdgeFixture(3, 1)
 	opts := DefaultOptions()
 	e, err := NewStream(data.Clone(), nil, rules, opts)
@@ -488,13 +475,10 @@ func TestStreamReportPatchingEdges(t *testing.T) {
 		if clean, known := res.Report.RuleClean("phi1"); !known || clean != wantPhi1Clean {
 			t.Errorf("%s: phi1 (clean=%v, known=%v), want (%v, true)", label, clean, known, wantPhi1Clean)
 		}
-		// fdCD's attributes are never written: it must be served from
-		// cache, and its (clean, known) contract must survive the patch.
+		// fdCD's attributes are never written: its (clean, known) contract
+		// must survive every re-certification.
 		if clean, known := res.Report.RuleClean("fdCD"); !clean || !known {
 			t.Errorf("%s: untouched fdCD (clean=%v, known=%v), want (true, true)", label, clean, known)
-		}
-		if res.Report.Patched == 0 {
-			t.Errorf("%s: Report.Patched = 0, want the untouched FD served from cache", label)
 		}
 	}
 
@@ -505,13 +489,13 @@ func TestStreamReportPatchingEdges(t *testing.T) {
 	step("phi1 dirty again", gen.Update{ID: 0, Values: []string{"1", "zzz", "c0", "d0"}, Conf: trusted}, false)
 }
 
-// TestStreamCapRetruncation drives the per-rule violation cap through the
-// patched path: a rule with far more violations than maxStoredPerRule must
-// keep its exact count, its capped listing and its Truncated tally when
-// served from cache, and re-truncate correctly when a later update forces
-// a re-check. The oracle comparison makes the cap byte-identical to a
-// from-scratch certification either way.
-func TestStreamCapRetruncation(t *testing.T) {
+// TestStreamCapAcrossUpdates drives the per-rule violation cap through
+// updates: a rule with far more violations than maxStoredPerRule must keep
+// its exact count, its capped listing and its Truncated tally when an
+// update leaves its columns alone, and re-truncate correctly when a later
+// update changes its count. The oracle comparison makes the cap
+// byte-identical to a from-scratch certification either way.
+func TestStreamCapAcrossUpdates(t *testing.T) {
 	n := maxStoredPerRule + 20
 	data, rules := streamEdgeFixture(n, n)
 	opts := DefaultOptions()
@@ -542,18 +526,15 @@ func TestStreamCapRetruncation(t *testing.T) {
 	if rep := e.Result().Report; rep.byRule[losing] != n {
 		t.Fatalf("fixture: byRule[%s] = %d, want %d", losing, rep.byRule[losing], n)
 	}
-	// Touch only C/D: the overflowing conflict rules are patched from
-	// cache, cap and truncation tally intact.
-	rep := apply("patched", gen.Update{ID: 0, Values: []string{"1", "zzz", "cQ", "dQ"}, Conf: trusted})
-	if rep.Patched == 0 {
-		t.Error("update touching only C/D: Patched = 0, want conflict rules served from cache")
-	}
+	// Touch only C/D: the overflowing conflict rules keep their count,
+	// cap and truncation tally.
+	rep := apply("untouched", gen.Update{ID: 0, Values: []string{"1", "zzz", "cQ", "dQ"}, Conf: trusted})
 	if rep.byRule[losing] != n || rep.Truncated == 0 {
-		t.Errorf("patched report: byRule[%s] = %d (want %d), truncated = %d (want > 0)",
+		t.Errorf("untouched report: byRule[%s] = %d (want %d), truncated = %d (want > 0)",
 			losing, rep.byRule[losing], n, rep.Truncated)
 	}
-	// Pull t0 out of the constant pattern: the conflict rules re-check,
-	// the count drops by one, and the cap re-truncates over the remainder.
+	// Pull t0 out of the constant pattern: the count drops by one, and the
+	// cap re-truncates over the remainder.
 	rep = apply("re-checked", gen.Update{ID: 0, Values: []string{"a0", "zzz", "cQ", "dQ"}, Conf: trusted})
 	if rep.byRule[losing] != n-1 || rep.Truncated == 0 {
 		t.Errorf("re-checked report: byRule[%s] = %d (want %d), truncated = %d (want > 0)",
@@ -606,7 +587,7 @@ func TestStreamWithMaster(t *testing.T) {
 
 // TestStreamRejectsBadUpdates pins the validation surface and the
 // bit-unchanged failure contract for rejected inputs, plus ErrNotStreaming
-// on batch engines.
+// and an empty tombstone set on batch engines.
 func TestStreamRejectsBadUpdates(t *testing.T) {
 	in := genInstance(3)
 	opts := DefaultOptions()
@@ -658,12 +639,15 @@ func TestStreamRejectsBadUpdates(t *testing.T) {
 		t.Error("rejected update mutated engine state")
 	}
 
-	batch := New(in.relation(nil), nil, in.rules, opts)
+	batch := NewContext(context.Background(), in.relation(nil), nil, in.rules, opts)
 	if _, err := batch.Upsert(0, vals4, nil); !errors.Is(err, ErrNotStreaming) {
 		t.Errorf("batch Upsert: err = %v, want ErrNotStreaming", err)
 	}
 	if _, err := batch.Delete(0); !errors.Is(err, ErrNotStreaming) {
 		t.Errorf("batch Delete: err = %v, want ErrNotStreaming", err)
+	}
+	if batch.Deleted(0) {
+		t.Error("batch Deleted(0) = true, want false")
 	}
 }
 

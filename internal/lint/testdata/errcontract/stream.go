@@ -72,3 +72,44 @@ func (e *SEngine) rebase(next *Relation) {
 	e.base = next
 	e.deleted = make(map[int]bool)
 }
+
+// SHolder keeps the staging fields one level down, the way a streaming
+// engine's shell holds them behind a single pointer field.
+type SHolder struct {
+	base    *Relation
+	deleted map[int]bool
+}
+
+type SShell struct{ st *SHolder }
+
+// Staging reached through the holder (e.st.base, e.st.deleted) is staging
+// all the same; the sanctioned shape still passes.
+func (e *SShell) goodHolderStage(id int, vals ...string) (func(), error) {
+	if e.st == nil {
+		return nil, ErrStopped
+	}
+	e.st.base.Append(vals...)
+	e.st.deleted[id] = true
+	return func() {
+		e.st.base.Tuples = e.st.base.Tuples[:len(e.st.base.Tuples)-1]
+		delete(e.st.deleted, id)
+	}, nil
+}
+
+// A nil undo after a write through the holder is reported.
+func (e *SShell) badHolderNilUndo(vals ...string) (func(), error) {
+	e.st.base.Append(vals...)
+	return nil, nil // want "staged mutation is not paired with an undo registration"
+}
+
+// The same through a local copy of the holder pointer.
+func (e *SShell) badHolderAliasNilUndo(id int) (func(), error) {
+	st := e.st
+	st.deleted[id] = true
+	return nil, nil // want "staged mutation is not paired with an undo registration"
+}
+
+// Rebinding the holder is construction, not staging.
+func (e *SShell) reset(next *Relation) {
+	e.st = &SHolder{base: next, deleted: make(map[int]bool)}
+}
