@@ -44,18 +44,19 @@ func Satisfies(d *relation.Relation, c *CFD) bool {
 		return true
 	}
 	groups := make(map[string]string)
+	var key []byte
 	for _, t := range d.Tuples {
 		if !c.MatchLHS(t) {
 			continue
 		}
 		v := t.Values[c.RHS]
-		key := t.Key(c.LHS)
-		if prev, ok := groups[key]; ok {
+		key = relation.AppendKey(key[:0], t, c.LHS)
+		if prev, ok := groups[string(key)]; ok {
 			if prev != v {
 				return false
 			}
 		} else {
-			groups[key] = v
+			groups[string(key)] = v
 		}
 	}
 	return true
@@ -89,14 +90,15 @@ func Violations(d *relation.Relation, c *CFD) []Violation {
 		return out
 	}
 	first := make(map[string]int) // LHS key -> first tuple index
+	var key []byte
 	for i, t := range d.Tuples {
 		if !c.MatchLHS(t) {
 			continue
 		}
-		key := t.Key(c.LHS)
-		j, ok := first[key]
+		key = relation.AppendKey(key[:0], t, c.LHS)
+		j, ok := first[string(key)]
 		if !ok {
-			first[key] = i
+			first[string(key)] = i
 			continue
 		}
 		if d.Tuples[j].Values[c.RHS] != t.Values[c.RHS] {
@@ -127,16 +129,17 @@ func Groups(d *relation.Relation, c *CFD) []Group {
 	}
 	byKey := make(map[string]*Group)
 	var order []string
+	var key []byte
 	for i, t := range d.Tuples {
 		if !c.MatchLHS(t) {
 			continue
 		}
-		key := t.Key(c.LHS)
-		g, ok := byKey[key]
+		key = relation.AppendKey(key[:0], t, c.LHS)
+		g, ok := byKey[string(key)]
 		if !ok {
-			g = &Group{CFD: c, Key: key}
-			byKey[key] = g
-			order = append(order, key)
+			g = &Group{CFD: c, Key: string(key)}
+			byKey[g.Key] = g
+			order = append(order, g.Key)
 		}
 		g.Members = append(g.Members, i)
 	}

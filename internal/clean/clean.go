@@ -250,7 +250,7 @@ type Engine struct {
 	cSeeded bool          // cRepair's first round (visit everything) has run
 	hSeeded bool          // hRepair's first round has run
 
-	allIDs []int // cached identity worklist for full-visit rounds
+	all dirtySet // every tuple: the cached worklist of full-visit rounds
 
 	// eRepair's entropy tree, persistent across outer passes in delta mode:
 	// later ERepair calls re-key only the groups extracted last call (eredo)

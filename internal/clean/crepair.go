@@ -63,7 +63,7 @@ func (e *Engine) applyRuleFull(ri int, r rule.Rule) int {
 		if e.sched != nil {
 			e.sched.clearTuples(phaseC, ri)
 		}
-		return e.applyTuples(phaseC, ri, e.allTupleIDs(), func(i int) int {
+		return e.applyTuples(phaseC, ri, e.allTuples(), func(i int) int {
 			return e.constantCFDTuple(ri, r.CFD, i)
 		})
 	case rule.VariableCFD:
@@ -82,7 +82,7 @@ func (e *Engine) applyRuleFull(ri int, r rule.Rule) int {
 		if e.sched != nil {
 			e.sched.clearTuples(phaseC, ri)
 		}
-		return e.applyTuples(phaseC, ri, e.allTupleIDs(), func(i int) int {
+		return e.applyTuples(phaseC, ri, e.allTuples(), func(i int) int {
 			return e.matchMDTuple(ri, r.MD, i)
 		})
 	}

@@ -58,12 +58,12 @@ func (e *Engine) HRepair() {
 			full := e.opts.Rescan || !seeded
 			switch r.Kind {
 			case rule.ConstantCFD:
-				var ids []int
+				var ids dirtySet
 				if full {
 					if e.sched != nil {
 						e.sched.clearTuples(phaseH, ri)
 					}
-					ids = e.allTupleIDs()
+					ids = e.allTuples()
 				} else {
 					ids = e.sched.takeTuples(phaseH, ri)
 				}

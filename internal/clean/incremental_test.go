@@ -299,3 +299,52 @@ func TestGroupIndexStaysExact(t *testing.T) {
 		}
 	}
 }
+
+// members lists a dirty set's tuples in the order each visits them.
+func members(s dirtySet) []int {
+	var out []int
+	s.each(func(i int) { out = append(out, i) })
+	return out
+}
+
+func TestDirtySetTakeDrainsAscending(t *testing.T) {
+	s := newDirtySet(200)
+	for _, i := range []int{199, 3, 64, 0, 63, 130, 3, 65} {
+		s.mark(i)
+	}
+	got := members(s.take(nil))
+	if want := []int{0, 3, 63, 64, 65, 130, 199}; !reflect.DeepEqual(got, want) {
+		t.Errorf("take = %v, want %v", got, want)
+	}
+	if got := members(s.take(nil)); got != nil {
+		t.Errorf("second take = %v, want empty", got)
+	}
+}
+
+// A tuple marked while a drained worklist is visited — below, at or above
+// the visit position — is not visited in that pass; it lands in the next
+// take.
+func TestDirtySetMarkDuringVisitLandsInNextTake(t *testing.T) {
+	s := newDirtySet(300)
+	for _, i := range []int{10, 100, 200} {
+		s.mark(i)
+	}
+	var buf dirtySet
+	buf = s.take(buf)
+	var visited []int
+	buf.each(func(i int) {
+		visited = append(visited, i)
+		if i == 100 {
+			s.mark(5)
+			s.mark(100)
+			s.mark(150)
+			s.mark(299)
+		}
+	})
+	if want := []int{10, 100, 200}; !reflect.DeepEqual(visited, want) {
+		t.Errorf("visited %v, want %v", visited, want)
+	}
+	if got, want := members(s.take(buf)), []int{5, 100, 150, 299}; !reflect.DeepEqual(got, want) {
+		t.Errorf("next take = %v, want %v", got, want)
+	}
+}

@@ -106,12 +106,21 @@ func (x *matcher) fork() *matcher {
 
 // buildEqIndex indexes the master relation by its projection on attrs. The
 // buckets hold ascending tuple indexes, which blocked enumerations rely on
-// to preserve the (T, S) order of a nested scan.
+// to preserve the (T, S) order of a nested scan. Keys are built in one
+// buffer and probed as string(key), which allocates nothing; only a new key
+// is copied, and a bucket's later appends reuse that copy.
 func buildEqIndex(master *relation.Relation, attrs []int) map[string][]int {
 	idx := make(map[string][]int, master.Len())
+	keys := make([]string, master.Len()) // the key of each bucket's first tuple
+	var key []byte
 	for j, s := range master.Tuples {
-		key := s.Key(attrs)
-		idx[key] = append(idx[key], j)
+		key = relation.AppendKey(key[:0], s, attrs)
+		if bucket, ok := idx[string(key)]; ok {
+			idx[keys[bucket[0]]] = append(bucket, j)
+		} else {
+			keys[j] = string(key)
+			idx[keys[j]] = []int{j}
+		}
 	}
 	return idx
 }

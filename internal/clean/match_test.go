@@ -3,6 +3,7 @@ package clean
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -87,4 +88,16 @@ func directLists(x *matcher, tp *relation.Tuple, topL int) string {
 	}
 	slices.Sort(cert)
 	return fmt.Sprint(len(block), x.verify(tp, block), len(cert), x.verify(tp, cert), true)
+}
+
+func TestBuildEqIndexBucketsAscending(t *testing.T) {
+	m := relation.New(relation.NewSchema("m", "K", "V"))
+	for _, row := range [][2]string{{"a", "1"}, {"b", "1"}, {"a", "2"}, {"c", "1"}, {"a", "1"}} {
+		m.Append(row[0], row[1])
+	}
+	got := buildEqIndex(m, []int{0})
+	want := map[string][]int{"a": {0, 2, 4}, "b": {1}, "c": {3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("buildEqIndex = %v, want %v", got, want)
+	}
 }

@@ -77,19 +77,20 @@ func fanOut(ctx context.Context, phase string, workers, tasks int, fn func(task 
 	return nil
 }
 
-// applyTuples runs one per-tuple rule over the given tuple ids (ascending),
-// bracketing each visit with the scheduler's in-flight-rule suppression. A
-// panic in a visit is re-raised as a *WorkerError naming the phase, the
-// rule and the worklist index, which runAll returns as is.
-func (e *Engine) applyTuples(phase, ri int, ids []int, fn func(i int) int) int {
+// applyTuples runs one per-tuple rule over the tuples in ids, in ascending
+// order, bracketing each visit with the scheduler's in-flight-rule
+// suppression. A panic in a visit is re-raised as a *WorkerError naming the
+// phase, the rule and the worklist index, which runAll returns as is.
+func (e *Engine) applyTuples(phase, ri int, ids dirtySet, fn func(i int) int) int {
 	ii := 0
 	defer e.contain(phase, ri, &ii)
 	progress := 0
-	for ; ii < len(ids); ii++ {
+	ids.each(func(i int) {
 		e.fj.At(fault.SiteApply, ri, ii)
-		e.setActive(phase, ri, ids[ii])
-		progress += fn(ids[ii])
-	}
+		e.setActive(phase, ri, i)
+		progress += fn(i)
+		ii++
+	})
 	e.clearActive()
 	return progress
 }
@@ -117,14 +118,14 @@ func (e *Engine) contain(phase, ri int, item *int) {
 	}
 }
 
-// allTupleIDs returns the cached identity worklist 0..Len-1 that full-visit
-// seeding rounds iterate.
-func (e *Engine) allTupleIDs() []int {
-	if e.allIDs == nil {
-		e.allIDs = make([]int, e.data.Len())
-		for i := range e.allIDs {
-			e.allIDs[i] = i
+// allTuples returns the cached set of every tuple, the worklist of
+// full-visit rounds.
+func (e *Engine) allTuples() dirtySet {
+	if e.all == nil {
+		e.all = newDirtySet(e.data.Len())
+		for i := range e.data.Len() {
+			e.all.mark(i)
 		}
 	}
-	return e.allIDs
+	return e.all
 }

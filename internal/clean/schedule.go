@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/cfd"
@@ -68,48 +69,34 @@ func (s *symtab) intern(t *relation.Tuple, attrs []int) int32 {
 // str returns the key string behind a symbol.
 func (s *symtab) str(id int32) string { return s.strs[id] }
 
-// dirtySet is a generation-stamped dirty-tuple set: one per (per-tuple rule,
-// consumer phase). It replaced map[int]bool after profiles showed
-// mapassign_fast64 dominating the write path (ROADMAP (i)) — noteWrite marks
-// a tuple on every engine write, so marking must be an array stamp, not a
-// hash insert. A tuple is marked when its stamp equals the current
-// generation; draining bumps the generation instead of clearing, so there is
-// no per-round reallocation or sweep.
-type dirtySet struct {
-	stamp []uint64 // per tuple: generation at which it was last marked
-	gen   uint64   // current generation; stamp[i] == gen means marked
-	items []int    // marked tuples in insertion order, deduped via stamp
+// dirtySet is a bitset of tuple indexes: one per (per-tuple rule, consumer
+// phase), plus the full-visit worklist and the drained copy a delta round
+// visits. noteWrite marks a tuple on every engine write, so marking is one
+// OR into a word. Draining copies the words out and zeroes them; the copy
+// is visited bit by bit, which is ascending tuple order — the order a full
+// scan visits them — with no sort.
+type dirtySet []uint64
+
+func newDirtySet(n int) dirtySet { return make(dirtySet, (n+63)/64) }
+
+// mark adds tuple i to the set; re-marking is a no-op.
+func (s dirtySet) mark(i int) { s[i/64] |= 1 << (uint(i) % 64) }
+
+// take copies the set into dst, reusing dst's storage, and empties the set:
+// a tuple marked while the copy is visited lands in the next take.
+func (s dirtySet) take(dst dirtySet) dirtySet {
+	dst = append(dst[:0], s...)
+	clear(s)
+	return dst
 }
 
-func newDirtySet(n int) *dirtySet {
-	return &dirtySet{stamp: make([]uint64, n), gen: 1}
-}
-
-// mark adds tuple i to the set; re-marking is a cheap no-op.
-func (s *dirtySet) mark(i int) {
-	if s.stamp[i] != s.gen {
-		s.stamp[i] = s.gen
-		s.items = append(s.items, i)
+// each calls fn on every tuple in the set, in ascending order.
+func (s dirtySet) each(fn func(i int)) {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			fn(w*64 + bits.TrailingZeros64(word))
+		}
 	}
-}
-
-// take drains the set and returns the marked tuples in ascending order —
-// the order a full scan visits them, as takeTuples always promised.
-func (s *dirtySet) take() []int {
-	if len(s.items) == 0 {
-		return nil
-	}
-	out := make([]int, len(s.items))
-	copy(out, s.items)
-	sort.Ints(out)
-	s.clear()
-	return out
-}
-
-// clear empties the set in O(1) by advancing the generation.
-func (s *dirtySet) clear() {
-	s.gen++
-	s.items = s.items[:0]
 }
 
 // igroup is one LHS-equal group of a variable CFD in the persistent index.
@@ -231,7 +218,7 @@ func (gi *groupIndex) takeKeys(phase int) []int32 {
 	for k := range gi.dirty[phase] { //det:ok maporder keys are sorted ascending below before anyone sees them
 		out = append(out, k)
 	}
-	gi.dirty[phase] = make(map[int32]bool)
+	clear(gi.dirty[phase])
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -244,8 +231,9 @@ type scheduler struct {
 	attrRules [][]int       // attribute -> indexes of rules reading it
 	gidx      []*groupIndex // parallel to rules; nil unless VariableCFD
 	lhsSet    []map[int]bool
-	dirtyC    []*dirtySet // per-tuple rules: cRepair consumer worklist
-	dirtyH    []*dirtySet // constant CFDs: hRepair consumer worklist
+	dirtyC    []dirtySet // per-tuple rules: cRepair consumer worklist
+	dirtyH    []dirtySet // constant CFDs: hRepair consumer worklist
+	drained   dirtySet   // the last takeTuples result, reused by the next
 
 	// attrHExtra maps an attribute to the variable-CFD rules whose hRepair
 	// target choice reads it indirectly: hTarget breaks ties by master-data
@@ -277,8 +265,8 @@ func newScheduler(rules []rule.Rule, d *relation.Relation) *scheduler {
 		attrRules:  make([][]int, d.Schema.Arity()),
 		gidx:       make([]*groupIndex, len(rules)),
 		lhsSet:     make([]map[int]bool, len(rules)),
-		dirtyC:     make([]*dirtySet, len(rules)),
-		dirtyH:     make([]*dirtySet, len(rules)),
+		dirtyC:     make([]dirtySet, len(rules)),
+		dirtyH:     make([]dirtySet, len(rules)),
 		activeRule: -1,
 	}
 	for ri, r := range rules {
@@ -376,7 +364,7 @@ func (s *scheduler) noteWrite(i, a int, t *relation.Tuple) {
 	}
 }
 
-func (s *scheduler) tupleSet(phase, ri int) *dirtySet {
+func (s *scheduler) tupleSet(phase, ri int) dirtySet {
 	if phase == phaseH {
 		return s.dirtyH[ri]
 	}
@@ -384,16 +372,17 @@ func (s *scheduler) tupleSet(phase, ri int) *dirtySet {
 }
 
 // takeTuples drains the dirty tuples of a per-tuple rule for one consumer
-// phase, in ascending tuple order — the order a full scan visits them.
-func (s *scheduler) takeTuples(phase, ri int) []int {
-	return s.tupleSet(phase, ri).take()
+// phase. The result is valid until the next takeTuples call.
+func (s *scheduler) takeTuples(phase, ri int) dirtySet {
+	s.drained = s.tupleSet(phase, ri).take(s.drained)
+	return s.drained
 }
 
 // clearTuples drops the phase's dirty marks for a per-tuple rule; a full
 // scan about to visit every tuple calls it so the marks it covers are not
 // re-processed next round.
 func (s *scheduler) clearTuples(phase, ri int) {
-	s.tupleSet(phase, ri).clear()
+	clear(s.tupleSet(phase, ri))
 }
 
 // takeGroups drains the dirty groups of a variable CFD for one consumer
@@ -419,7 +408,7 @@ func (s *scheduler) takeGroups(phase, ri int) [][]int {
 // clearGroups drops the phase's dirty group marks of a variable CFD before a
 // full scan covers them.
 func (s *scheduler) clearGroups(phase, ri int) {
-	s.gidx[ri].dirty[phase] = make(map[int32]bool)
+	clear(s.gidx[ri].dirty[phase])
 }
 
 // allGroups snapshots every group of a variable CFD, ordered by first
@@ -442,7 +431,7 @@ func (s *scheduler) allGroups(ri int) [][]int {
 func (s *scheduler) resetE() {
 	for _, gi := range s.gidx {
 		if gi != nil {
-			gi.dirty[phaseE] = make(map[int32]bool)
+			clear(gi.dirty[phaseE])
 		}
 	}
 }

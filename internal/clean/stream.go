@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the streaming update layer: a certified-clean
-// instance kept live under external single-tuple writes (ROADMAP (B),
+// instance kept live under external single-tuple writes (ROADMAP item E,
 // "Answering FO+MOD queries under updates" in PAPERS.md frames the goal).
 //
 // The semantics are rebase-and-rerun, not patch-the-cleaned-state. A

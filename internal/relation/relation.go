@@ -32,11 +32,30 @@ func (r *Relation) Append(values ...string) *Tuple {
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.Tuples) }
 
-// Clone returns a deep copy of the relation sharing the schema.
+// Clone returns a deep copy of the relation sharing the schema. The copy
+// takes a constant number of allocations: its tuples live in one slice and
+// their cells in one slab per cell field, each tuple's slices being
+// capacity-capped views, so an append to one tuple's slice copies it out
+// instead of overwriting the next tuple's cells.
 func (r *Relation) Clone() *Relation {
+	cells := 0
+	for _, t := range r.Tuples {
+		cells += len(t.Values)
+	}
 	out := &Relation{Schema: r.Schema, Tuples: make([]*Tuple, len(r.Tuples))}
+	tuples := make([]Tuple, len(r.Tuples))
+	values := make([]string, cells)
+	conf := make([]float64, cells)
+	marks := make([]FixMark, cells)
+	lo := 0
 	for i, t := range r.Tuples {
-		out.Tuples[i] = t.Clone()
+		hi := lo + len(t.Values)
+		tuples[i] = Tuple{ID: t.ID, Values: values[lo:hi:hi], Conf: conf[lo:hi:hi], Marks: marks[lo:hi:hi]}
+		copy(tuples[i].Values, t.Values)
+		copy(tuples[i].Conf, t.Conf)
+		copy(tuples[i].Marks, t.Marks)
+		out.Tuples[i] = &tuples[i]
+		lo = hi
 	}
 	return out
 }

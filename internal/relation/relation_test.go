@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -95,6 +96,70 @@ func TestRelationCloneIndependent(t *testing.T) {
 	c.Tuples[0].Values[0] = "y"
 	if r.Tuples[0].Values[0] != "x" {
 		t.Error("Relation.Clone shares tuple storage")
+	}
+}
+
+func TestRelationCloneSetLeavesSource(t *testing.T) {
+	r := New(NewSchema("r", "A", "B"))
+	r.Append("a0", "b0")
+	r.Append("a1", "b1")
+	r.SetAllConf(0.5)
+	c := r.Clone()
+	c.Tuples[1].Set(0, "z", 0.9, FixDeterministic)
+	c.Tuples[0].Set(1, "w", 0.8, FixPossible)
+	want := [][]string{{"a0", "b0"}, {"a1", "b1"}}
+	for i, tup := range r.Tuples {
+		if !reflect.DeepEqual(tup.Values, want[i]) || tup.Conf[0] != 0.5 || tup.Conf[1] != 0.5 ||
+			tup.Marks[0] != FixNone || tup.Marks[1] != FixNone {
+			t.Errorf("source tuple %d changed by Set on the clone: %v %v %v", i, tup.Values, tup.Conf, tup.Marks)
+		}
+	}
+	if got := c.Tuples[1].Values[0]; got != "z" {
+		t.Errorf("clone tuple 1 = %q, want the written value", got)
+	}
+}
+
+// The clone's tuples share cell slabs; an append to one tuple's slices must
+// not spill into the next tuple's cells.
+func TestRelationCloneAppendStaysInTuple(t *testing.T) {
+	r := New(NewSchema("r", "A", "B"))
+	r.Append("a0", "b0")
+	r.Append("a1", "b1")
+	c := r.Clone()
+	t0 := c.Tuples[0]
+	t0.Values = append(t0.Values, "spill")
+	t0.Conf = append(t0.Conf, 1)
+	t0.Marks = append(t0.Marks, FixPossible)
+	t1 := c.Tuples[1]
+	if !reflect.DeepEqual(t1.Values, []string{"a1", "b1"}) || t1.Conf[0] != 0 || t1.Marks[0] != FixNone {
+		t.Errorf("append to tuple 0 overwrote tuple 1: %v %v %v", t1.Values, t1.Conf, t1.Marks)
+	}
+}
+
+// Clone allocates a fixed number of blocks, not one set per tuple.
+func TestRelationCloneAllocsConstant(t *testing.T) {
+	for _, n := range []int{1, 100, 10000} {
+		r := New(NewSchema("r", "A", "B", "C"))
+		for range n {
+			r.Append("a", "b", "c")
+		}
+		if got := testing.AllocsPerRun(10, func() { r.Clone() }); got != 6 {
+			t.Errorf("Clone of %d tuples: %v allocations, want 6", n, got)
+		}
+	}
+}
+
+// BenchmarkRelationClone clones a 50k-tuple, 6-attribute relation, the
+// size of the hosp-50k workload's data relation.
+func BenchmarkRelationClone(b *testing.B) {
+	r := New(NewSchema("hosp", "provider", "name", "phone", "zip", "city", "state"))
+	for i := range 50000 {
+		v := strconv.Itoa(i)
+		r.Append(v, "name"+v, "phone"+v, "zip"+v, "city"+v, "state"+v)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		r.Clone()
 	}
 }
 

@@ -22,6 +22,7 @@ func FuzzTreeAgainstBruteForce(f *testing.F) {
 	f.Add([]byte("\xce\xb1\xce\xb2\x00\xff\xfe\x00\xce"), "\xce\xb2\xff", uint8(3), uint8(1))
 	f.Add([]byte("abc\x00abd"), "ab", uint8(1), uint8(5))
 	f.Add([]byte(""), "x", uint8(4), uint8(0))
+	f.Add(blockCrossingCorpus(), "qhzkemvrla", uint8(6), uint8(3))
 	f.Fuzz(func(t *testing.T, corpus []byte, q string, l, minLen uint8) {
 		if len(corpus) > 1<<12 || len(q) > 1<<8 {
 			return // the brute force is quadratic; size adds no new shapes
@@ -67,4 +68,38 @@ func FuzzTreeAgainstBruteForce(f *testing.F) {
 			t.Fatalf("StringsWithCommonSubstring(%q, %d) over %q = %v, want %v", q, minLen, strs, got, wantIDs)
 		}
 	})
+}
+
+// blockCrossingCorpus is a fuzz seed whose tree spills over several node
+// pages, id blocks and child blocks: 600 pseudo-random words over 16
+// letters, 0x00-separated, about 3.5 KB.
+func blockCrossingCorpus() []byte {
+	var out []byte
+	x := uint32(1)
+	for w := 0; w < 600; w++ {
+		if w > 0 {
+			out = append(out, 0)
+		}
+		for range 5 {
+			x = x*1664525 + 1013904223
+			out = append(out, "abcdefghklmqrvxz"[x>>28])
+		}
+	}
+	return out
+}
+
+func TestBlockCrossingCorpusSpansBlocks(t *testing.T) {
+	tr := New()
+	for _, s := range bytes.Split(blockCrossingCorpus(), []byte{0}) {
+		tr.Add(string(s))
+	}
+	ids := 0
+	for n := int32(0); n < tr.nodes; n++ {
+		ids += len(tr.at(n).ids)
+	}
+	// More live ids than one block holds means the id arena spans blocks.
+	if len(tr.pages) < 2 || len(tr.kids) < 2 || ids <= arenaBlock {
+		t.Errorf("seed spans %d node pages, %d child blocks and %d ids; want >= 2 pages, >= 2 child blocks and > %d ids",
+			len(tr.pages), len(tr.kids), ids, arenaBlock)
+	}
 }

@@ -9,10 +9,22 @@
 // length of their longest common substring with v, reducing the MD-matching
 // search space from |Dm| to a constant l.
 //
-// The layout is flat: nodes live in one slice and find their children in a
-// short (first byte, index) list. Which strings a lookup has reached is
-// kept in a pooled generation-stamped array, so lookups allocate only their
-// result and may run concurrently once the tree is no longer added to.
+// Storage is a few hundred large blocks, and growing the tree never copies
+// a node:
+//
+//   - Nodes live in fixed-size pages appended on demand and are addressed
+//     by int32 index.
+//   - The root, whose fan-out is the whole alphabet, finds its children in
+//     a byte table. Every other node keeps its (first byte, node) edges
+//     contiguous in a window of a shared child arena, so a walk scans them
+//     as one short array.
+//   - Each node's id list is a capacity-capped window of a shared id arena.
+//   - A full edge or id window moves to a window twice its size; the old
+//     window stays behind as slack in its block.
+//
+// Which strings a lookup has reached is kept in a pooled generation-stamped
+// array, so lookups allocate only their result and may run concurrently
+// once the tree is no longer added to.
 package suffixtree
 
 import (
@@ -21,16 +33,32 @@ import (
 	"sync"
 )
 
+const (
+	pageBits = 8 // 256 nodes per page
+	pageSize = 1 << pageBits
+	// arenaBlock is the length of one block of the id and child arenas; an
+	// id list that outgrows it gets a block of its own.
+	arenaBlock = 4096
+)
+
 // Tree is a generalized suffix tree over a set of strings.
 type Tree struct {
 	strings []string
-	nodes   []node    // nodes[0] is the root
-	scratch sync.Pool // *walkState, reused across lookups
+	pages   []*[pageSize]node    // node n is pages[n>>pageBits][n&(pageSize-1)]; node 0 is the root
+	nodes   int32                // nodes allocated so far
+	root    [256]int32           // the root's child per first byte; 0 = none
+	ids     []int32              // the unused tail of the current id block
+	kids    []*[arenaBlock]child // child slot k is kids[k/arenaBlock][k%arenaBlock]
+	kidFree int32                // unused slots at the end of the last child block
+	scratch sync.Pool            // *walkState, reused across lookups
 }
 
 type node struct {
-	label string  // the edge label leading into this node; "" at the root
-	kids  []child // outgoing edges, at most one per first byte
+	label string // the edge label leading into this node; "" at the root
+	// The outgoing edges, at most one per first byte, are the first nkids
+	// slots of a child-arena window starting at slot kids, whose size is
+	// the smallest power of two >= max(2, nkids). Unused at the root.
+	kids, nkids int32
 	// ids lists, in increasing order, the indexed strings whose suffixes
 	// pass through this node, i.e. the strings containing the substring
 	// this node spells.
@@ -61,7 +89,9 @@ type walkState struct {
 
 // New returns an empty tree.
 func New() *Tree {
-	return &Tree{nodes: []node{{}}}
+	t := &Tree{}
+	t.newNode("")
+	return t
 }
 
 // Len returns the number of indexed strings.
@@ -81,33 +111,113 @@ func (t *Tree) Add(s string) int {
 	return int(id)
 }
 
-func (n *node) addID(id int32) {
-	if k := len(n.ids); k > 0 && n.ids[k-1] == id {
+func (t *Tree) at(n int32) *node {
+	return &t.pages[n>>pageBits][n&(pageSize-1)]
+}
+
+// newNode allocates a node, starting a new page when the last one is full.
+func (t *Tree) newNode(label string) int32 {
+	n := t.nodes
+	if n&(pageSize-1) == 0 {
+		t.pages = append(t.pages, new([pageSize]node))
+	}
+	t.nodes++
+	t.at(n).label = label
+	return n
+}
+
+// idList returns an empty id list with room for c ids, cut from the tail
+// of the id arena; the capacity cap makes an append past c fail over to a
+// copy instead of writing into the neighbouring list.
+func (t *Tree) idList(c int) []int32 {
+	if c > arenaBlock {
+		return make([]int32, 0, c)
+	}
+	if c > len(t.ids) {
+		t.ids = make([]int32, arenaBlock)
+	}
+	l := t.ids[:0:c]
+	t.ids = t.ids[c:]
+	return l
+}
+
+// addID appends id to n's list unless it is already the last entry,
+// moving a full list to a window twice its size.
+func (t *Tree) addID(n *node, id int32) {
+	k := len(n.ids)
+	if k > 0 && n.ids[k-1] == id {
 		return
+	}
+	if k == cap(n.ids) {
+		n.ids = append(t.idList(2*k), n.ids...)
 	}
 	n.ids = append(n.ids, id)
 }
 
 // child returns the node reached from n over the edge starting with b, or
-// -1 when there is none.
+// 0 when there is none.
 func (t *Tree) child(n int32, b byte) int32 {
-	for _, c := range t.nodes[n].kids {
+	if n == 0 {
+		return t.root[b]
+	}
+	for _, c := range t.kidsOf(t.at(n)) {
 		if c.b == b {
 			return c.n
 		}
 	}
-	return -1
+	return 0
+}
+
+// link makes a new node with the given label and first id a child of
+// parent.
+func (t *Tree) link(parent int32, label string, id int32) {
+	c := t.newNode(label)
+	t.at(c).ids = append(t.idList(1), id)
+	if parent == 0 {
+		t.root[label[0]] = c
+		return
+	}
+	t.addKid(t.at(parent), child{b: label[0], n: c})
+}
+
+// kidsOf returns n's outgoing edges.
+func (t *Tree) kidsOf(n *node) []child {
+	if n.nkids == 0 {
+		return nil
+	}
+	lo := n.kids % arenaBlock
+	return t.kids[n.kids/arenaBlock][lo : lo+n.nkids]
+}
+
+// addKid appends c to n's edges, first moving them to a window twice as
+// large when their window is full. A window never straddles two blocks:
+// fan-out is at most 256.
+func (t *Tree) addKid(n *node, c child) {
+	if n.nkids == 0 || n.nkids >= 2 && n.nkids&(n.nkids-1) == 0 {
+		size := max(2, 2*n.nkids)
+		if size > t.kidFree {
+			t.kids = append(t.kids, new([arenaBlock]child))
+			t.kidFree = arenaBlock
+		}
+		lo := arenaBlock - t.kidFree
+		copy(t.kids[len(t.kids)-1][lo:], t.kidsOf(n))
+		n.kids = int32(len(t.kids)-1)*arenaBlock + lo
+		t.kidFree -= size
+	}
+	n.nkids++
+	t.kidsOf(n)[n.nkids-1] = c
 }
 
 func (t *Tree) insertSuffix(suf string, id int32) {
 	cur := int32(0)
 	for i := 0; i < len(suf); {
 		c := t.child(cur, suf[i])
-		if c < 0 {
-			t.link(cur, node{label: suf[i:], ids: []int32{id}})
+		if c == 0 {
+			t.link(cur, suf[i:], id)
 			return
 		}
-		label := t.nodes[c].label
+		cn := t.at(c)
+		label := cn.label
 		j := 1
 		for j < len(label) && i+j < len(suf) && label[j] == suf[i+j] {
 			j++
@@ -115,25 +225,21 @@ func (t *Tree) insertSuffix(suf string, id int32) {
 		if j < len(label) {
 			// Split the edge at offset j: node c keeps its slot, so its
 			// parent's link stays valid, and becomes the middle node over
-			// the matched part; its old subtree moves below it with the
-			// rest of the label. The middle node inherits the subtree's id
-			// set; ids arrive in increasing order, so appending id keeps
-			// the set sorted.
-			low := t.nodes[c]
-			low.label = label[j:]
-			t.nodes[c] = node{label: label[:j], ids: append([]int32(nil), low.ids...)}
-			t.link(c, low)
+			// the matched part; a new node below it takes the rest of the
+			// label, c's children and c's id list. The middle node starts
+			// from a copy of that list; ids arrive in increasing order, so
+			// appending id keeps it sorted.
+			low := t.newNode(label[j:])
+			ln := t.at(low)
+			ln.ids, ln.kids, ln.nkids = cn.ids, cn.kids, cn.nkids
+			cn.label, cn.nkids = label[:j], 0
+			t.addKid(cn, child{b: label[j], n: low})
+			cn.ids = append(t.idList(len(ln.ids)+1), ln.ids...)
 		}
+		t.addID(cn, id)
 		cur = c
-		t.nodes[cur].addID(id)
 		i += j
 	}
-}
-
-// link appends n as a new child of parent.
-func (t *Tree) link(parent int32, n node) {
-	t.nodes = append(t.nodes, n)
-	t.nodes[parent].kids = append(t.nodes[parent].kids, child{b: n.label[0], n: int32(len(t.nodes) - 1)})
 }
 
 // walk matches every suffix of v of length >= minLen greedily from the root
@@ -149,10 +255,10 @@ func (t *Tree) walk(v string, minLen int, first bool, loci []locus) []locus {
 		cur, depth := int32(0), 0
 		for depth < len(suf) {
 			c := t.child(cur, suf[depth])
-			if c < 0 {
+			if c == 0 {
 				break
 			}
-			label := t.nodes[c].label
+			label := t.at(c).label
 			j := 1
 			for j < len(label) && depth+j < len(suf) && label[j] == suf[depth+j] {
 				j++
@@ -194,7 +300,7 @@ func (t *Tree) state() *walkState {
 // collect appends to s.hits, credited with lc's depth, every string under
 // lc that this lookup has not reached yet.
 func (t *Tree) collect(s *walkState, lc locus) {
-	for _, id := range t.nodes[lc.n].ids {
+	for _, id := range t.at(lc.n).ids {
 		if s.stamp[id] != s.gen {
 			s.stamp[id] = s.gen
 			s.hits = append(s.hits, Match{ID: int(id), LCS: int(lc.depth)})

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/similarity"
 )
 
@@ -277,4 +278,19 @@ func TestStringsWithCommonSubstringRejectsVacuousBound(t *testing.T) {
 	tr := New()
 	tr.Add("abc")
 	tr.StringsWithCommonSubstring("ab", 0)
+}
+
+// BenchmarkTreeBuild indexes the master names of the generator's 5k-row
+// master relation (the hosp-50k workload's similarity MD index).
+func BenchmarkTreeBuild(b *testing.B) {
+	cfg := gen.DefaultConfig()
+	cfg.Tuples, cfg.MasterSize = 50000, 5000
+	names := gen.Generate(cfg).Master.ActiveDomain(1)
+	b.ReportAllocs()
+	for b.Loop() {
+		tr := New()
+		for _, s := range names {
+			tr.Add(s)
+		}
+	}
 }
