@@ -111,6 +111,8 @@ func (t *Tree) Add(s string) int {
 	return int(id)
 }
 
+// at returns node n; pages never move, so the pointer stays valid while
+// the tree grows.
 func (t *Tree) at(n int32) *node {
 	return &t.pages[n>>pageBits][n&(pageSize-1)]
 }
